@@ -8,6 +8,8 @@ objective against the closed-form directional derivative.
 Runs are configured by a flat key=value file (``#`` starts a comment) with
 every key also available as a flag; flags win.  Output is a deterministic
 function of the configuration: same config and seed, byte-identical file.
+The eigenvalue columns come from LAPACK and are byte-identical only on one
+machine and numpy/LAPACK build.
 
 Exit codes: 0 success, 2 configuration error, 3 integration failure,
 4 verification failure.
@@ -16,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -380,6 +383,8 @@ def _add_run_flags(parser: argparse.ArgumentParser, with_output: bool):
                             default=None, help="include eigenvalue columns")
 
 
+# Parsing leaves the parser unchanged, so one instance serves every call.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volterra-lab",
@@ -441,3 +446,7 @@ def main(argv=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

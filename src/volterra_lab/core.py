@@ -2,20 +2,18 @@
 
 Matrices are square numpy arrays of float64.  Nothing in this module knows
 about lattices; it provides the commutator, the trace inner product
-tr(X Y^T), matrix powers, a small-norm matrix exponential, and a cyclic
-Jacobi eigensolver for symmetric input.  All functions are pure and never
+tr(X Y^T), matrix powers, a small-norm matrix exponential, and a validated
+LAPACK eigensolver for symmetric input.  All functions are pure and never
 mutate their arguments, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
     "DimensionMismatchError",
     "EigenDecomposition",
     "NotSymmetricError",
@@ -27,11 +25,6 @@ __all__ = [
     "trace_power",
 ]
 
-# Off-diagonal Frobenius target of the Jacobi iteration, relative to the
-# Frobenius norm of the input, and the hard cap on full sweeps.
-JACOBI_TARGET = 1e-14
-JACOBI_MAX_SWEEPS = 100
-
 # How asymmetric an input may be before symmetric_eigen refuses it.
 SYMMETRY_RTOL = 1e-12
 
@@ -42,17 +35,6 @@ class DimensionMismatchError(ValueError):
 
 class NotSymmetricError(ValueError):
     """Input of symmetric_eigen is not symmetric to working tolerance."""
-
-
-class ConvergenceError(RuntimeError):
-    """The Jacobi sweep cap was reached before the off-diagonal target.
-
-    The remaining off-diagonal Frobenius norm is available as ``residual``.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def dense_matrix(entries) -> np.ndarray:
@@ -134,84 +116,31 @@ def expm_small(m) -> np.ndarray:
 class EigenDecomposition:
     """Eigenvalues in ascending order with the matching orthonormal basis.
 
-    Column i of ``basis`` is the eigenvector of ``eigenvalues[i]``.  Ties in
-    the sort keep the order in which the Jacobi iteration produced them, so
-    equal input always yields identical output.
+    Column i of ``basis`` is the eigenvector of ``eigenvalues[i]``.  Ties
+    keep the order in which LAPACK returns them, so equal input always
+    yields identical output on one machine and numpy/LAPACK build.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def symmetric_eigen(s) -> EigenDecomposition:
+    """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
+    The input is symmetrized as (S + S^T) / 2, which leaves exactly
+    symmetric input unchanged.  Eigenvalues come back in ascending order.
 
-def symmetric_eigen(s, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
-
-    Sweeps annihilate every strict upper-triangle entry in row-major order
-    until the off-diagonal Frobenius norm falls below JACOBI_TARGET times
-    the Frobenius norm of the input.  Rotation angles follow the stable
-    half-angle formulas, so accumulated basis columns stay orthonormal to
-    machine precision.
-
-    Raises NotSymmetricError for asymmetric input and ConvergenceError if
-    ``max_sweeps`` full sweeps do not reach the target.
+    Raises NotSymmetricError when ||S - S^T|| exceeds SYMMETRY_RTOL times
+    ||S||, and ValueError for non-finite entries.
     """
     s = _as_square(s, "matrix")
     if not np.isfinite(s).all():
         raise ValueError("matrix entries must be finite")
-    norm = float(np.linalg.norm(s))
-    if float(np.linalg.norm(s - s.T)) > SYMMETRY_RTOL * norm:
-        raise NotSymmetricError(
-            f"matrix is not symmetric: ||S - S^T|| = {float(np.linalg.norm(s - s.T)):.3g}"
-        )
-
-    n = s.shape[0]
-    a = 0.5 * (s + s.T)
-    v = np.eye(n)
-    target = JACOBI_TARGET * norm
-
-    for sweep in range(max_sweeps + 1):
-        off = _offdiag_norm(a)
-        if off <= target:
-            break
-        if sweep == max_sweeps:
-            raise ConvergenceError(
-                f"no convergence in {max_sweeps} sweeps, off-diagonal norm {off:.3g}",
-                residual=off,
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * c
-                col_p = c * a[:, p] - sn * a[:, q]
-                col_q = sn * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] - sn * a[q, :]
-                row_q = sn * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = c * v[:, p] - sn * v[:, q]
-                vec_q = sn * v[:, p] + c * v[:, q]
-                v[:, p] = vec_p
-                v[:, q] = vec_q
-
-    d = np.diag(a).copy()
-    order = np.argsort(d, kind="stable")
-    eigenvalues = d[order]
-    basis = v[:, order].copy()
+    asym = float(np.linalg.norm(s - s.T))
+    if asym > SYMMETRY_RTOL * float(np.linalg.norm(s)):
+        raise NotSymmetricError(f"matrix is not symmetric: ||S - S^T|| = {asym:.3g}")
+    eigenvalues, basis = np.linalg.eigh(0.5 * (s + s.T))
     eigenvalues.flags.writeable = False
     basis.flags.writeable = False
     return EigenDecomposition(eigenvalues=eigenvalues, basis=basis)

@@ -17,6 +17,7 @@ by the exact flow and serve as accuracy meters for the discrete one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,9 @@ class IntegratorConfig:
             raise ValueError(f"unknown form {self.form!r}, expected one of {FORMS}")
         if self.sigma not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sigma!r}")
+        for name in ("t0", "t1", "h0", "tol_abs", "tol_rel"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.t1 > self.t0):
             raise ValueError("need t1 > t0")
         if not (self.h0 > 0.0):
@@ -454,7 +458,8 @@ def invariant_report(record: TrajectoryRecord) -> InvariantSummary:
     violation count compares consecutive f samples against the monotone
     direction the form and sign imply (the direct flow descends; a matrix
     form descends when its sign matches CALIBRATED_SIGN), with slack
-    1e-12 * (1 + |f(t0)|) for roundoff on plateaus.
+    _MONOTONE_SLACK * (1 + |f(t0)|) = 1e-9 * (1 + |f(t0)|) for the
+    integrator's local error on plateaus.
     """
     drift = np.abs(record.spectra - record.spectra[0]).max(axis=0)
     trace_drift = {

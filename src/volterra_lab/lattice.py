@@ -15,6 +15,7 @@ recorded as CALIBRATED_SIGN.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -136,9 +137,16 @@ def volterra_rhs(s: LatticeState) -> np.ndarray:
 
 
 def build_K(n: int) -> np.ndarray:
-    """Objective weight matrix diag(1, 2, ..., n) / 4; read-only."""
+    """Objective weight matrix diag(1, 2, ..., n) / 4; read-only, built once per n."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"weight matrix needs dimension >= 2, got {n!r}")
+    return _weight_matrix(int(n))
+
+
+# A run uses one or a few dimensions; the bound only caps a long-lived
+# process that visits many.
+@functools.lru_cache(maxsize=16)
+def _weight_matrix(n: int) -> np.ndarray:
     k = np.diag(np.arange(1, n + 1) / 4.0)
     k.flags.writeable = False
     return k

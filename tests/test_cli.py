@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +189,17 @@ def test_bad_format_in_config_file(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "arg", ["--t1=inf", "--t1=nan", "--t0=-inf", "--h0=inf", "--tol-rel=nan"]
+)
+def test_nonfinite_window_is_a_config_error(tmp_path, capsys, arg):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", "--u0", "1,2", arg, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integration_failure_exit_code(tmp_path, capsys):
     rc = cli.main(
         ["simulate", "--u0", "1,2", "--method", "adaptive45",
@@ -259,3 +273,14 @@ def test_gradient_check_command(capsys):
 def test_gradient_check_rejects_large_eps(capsys):
     assert cli.main(["gradient-check", "--eps", "0.5"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_module_entry_point_prints_usage():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "volterra_lab.cli", "--help"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: volterra-lab")

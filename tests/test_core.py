@@ -201,10 +201,15 @@ def test_eigen_rejects_nonfinite():
         core.symmetric_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_eigen_sweep_cap():
-    with pytest.raises(core.ConvergenceError) as err:
-        core.symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
-    assert err.value.residual == pytest.approx(math.sqrt(2.0))
+def test_eigen_unit_lax_closed_form():
+    # the m x m Lax matrix of unit sites has eigenvalues 2 cos(j pi / (m + 1))
+    for m in (2, 9, 33, 129):
+        lax = np.eye(m, k=1) + np.eye(m, k=-1)
+        eig = core.symmetric_eigen(lax)
+        expect = 2.0 * np.cos(np.arange(m, 0, -1) * math.pi / (m + 1))
+        assert np.abs(eig.eigenvalues - expect).max() <= 1e-13 * m
+        gram = eig.basis.T @ eig.basis
+        assert np.abs(gram - np.eye(m)).max() <= 1e-13 * m
 
 
 def test_expm_small_matches_orthogonal_rotation():
