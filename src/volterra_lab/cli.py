@@ -202,22 +202,18 @@ def _validate_run_config(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _format_value(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(path: str, record: TrajectoryRecord, spectra: bool):
     n = record.states.shape[1]
     dim = record.spectra.shape[1]
     header = ["t"] + [f"u_{i}" for i in range(1, n + 1)] + ["f"]
+    columns = [record.times, record.states, record.f_values]
     if spectra:
         header += [f"lambda_{i}" for i in range(1, dim + 1)]
+        columns.append(record.spectra)
+    # One %-template per file; "%.17g" % x is the same text as f"{x:.17g}".
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for i in range(record.n_samples):
-        row = [record.times[i], *record.states[i], record.f_values[i]]
-        if spectra:
-            row.extend(record.spectra[i])
-        lines.append(",".join(_format_value(x) for x in row))
+    lines += [row_format % tuple(row) for row in np.column_stack(columns).tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -429,8 +425,8 @@ def main(argv=None) -> int:
                 n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok.strip())
             except ValueError:
                 raise ConfigError(f"bad n-list {ns.n_list!r}") from None
-            if ns.jobs < 1:
-                raise ConfigError("jobs must be >= 1")
+            if not n_list or min(n_list) < 1 or ns.trials < 1 or ns.jobs < 1:
+                raise ConfigError("need n-list entries >= 1, trials >= 1 and jobs >= 1")
             return cmd_verify(n_list, ns.trials, ns.seed, ns.jobs)
         if ns.command == "gradient-check":
             eps_list = _parse_floats(ns.eps, "eps")
@@ -439,9 +435,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationError as exc:
+    except (IntegrationError, lattice.InternalConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
+    except geometry.DegenerateSpectrumError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 def run():

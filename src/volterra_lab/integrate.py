@@ -5,6 +5,10 @@ Dormand-Prince embedded 4(5) pair with proportional step control.  The
 integrator always advances the site variables u; for the matrix forms the
 right-hand side is pushed forward to u-space, which keeps every form on the
 same state representation and makes the trajectories directly comparable.
+The adaptive loop reuses the last stage of an accepted attempt, f(u5), as
+the first stage of the next one (first same as last), and a rejected attempt
+keeps its first stage, so each attempt costs 6 right-hand-side calls, plus
+one for the start.
 
 Positivity of u is an invariant of the exact flow, so a step that leaves the
 positive cone is numerical damage: the adaptive loop rejects it and halves
@@ -235,8 +239,12 @@ _DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
 )
 
 
-def _dopri_raw(f, u, h):
-    k1 = f(u)
+def _dopri_raw(f, u, h, k1=None):
+    # One attempt from u with step h.  k1 = f(u) may be passed in; the last
+    # stage k7 = f(u5) is returned so the caller can reuse it as the next
+    # step's k1 (first same as last).
+    if k1 is None:
+        k1 = f(u)
     k2 = f(u + h * (_DP_A21 * k1))
     k3 = f(u + h * (_DP_A31 * k1 + _DP_A32 * k2))
     k4 = f(u + h * (_DP_A41 * k1 + _DP_A42 * k2 + _DP_A43 * k3))
@@ -255,7 +263,7 @@ def _dopri_raw(f, u, h):
         + _DP_E6 * k6
         + _DP_E7 * k7
     )
-    return u5, err
+    return u5, err, k7
 
 
 def _controller_factor(err_est: float) -> float:
@@ -282,7 +290,7 @@ def adaptive45_step(
     if not (tol_abs > 0.0 and tol_rel > 0.0):
         raise ValueError("tolerances must be positive")
     try:
-        u5, err_vec = _dopri_raw(_wrap_state_field(field), s.u, h)
+        u5, err_vec, _ = _dopri_raw(_wrap_state_field(field), s.u, h)
     except _StageDomainError:
         return StepAttempt(state=s, h_next=0.5 * h, accepted=False, err_est=float("inf"))
     scale = tol_abs + tol_rel * np.abs(s.u)
@@ -313,6 +321,13 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     Endpoints are always sampled.  See the module docstring for the
     positivity policy; step-size underflow raises StepUnderflowError.
     """
+    # Overflow and invalid operations leave non-finite values, which the
+    # loops detect and report; numpy's warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _integrate(config, s0)
+
+
+def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     field = _raw_field(config)
     span = config.t1 - config.t0
     eps_t = 1e-12 * span
@@ -378,6 +393,7 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 since_sample = 0
     else:
         h = min(config.h0, span)
+        k1 = field(u)
         while config.t1 - t > eps_t:
             if h < _UNDERFLOW_FRACTION * span:
                 raise StepUnderflowError(
@@ -386,7 +402,7 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 )
             h_try = min(h, config.t1 - t)
             try:
-                u5, err_vec = _dopri_raw(field, u, h_try)
+                u5, err_vec, k7 = _dopri_raw(field, u, h_try, k1)
             except _StageDomainError as exc:
                 if not guard:
                     raise FieldDomainError(
@@ -396,8 +412,7 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 h = 0.5 * h_try
                 continue
             scale = config.tol_abs + config.tol_rel * np.abs(u)
-            with np.errstate(invalid="ignore", over="ignore"):
-                err_est = float(np.max(np.abs(err_vec) / scale))
+            err_est = float(np.max(np.abs(err_vec) / scale))
             if not (np.isfinite(err_est) and np.isfinite(u5).all()):
                 rejected += 1
                 h = _SHRINK_MIN * h_try
@@ -414,6 +429,7 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                     continue
                 t = advance(t, h_try)
                 u = u5
+                k1 = k7
                 accepted += 1
                 since_sample += 1
                 if since_sample == config.record_every and config.t1 - t > eps_t:

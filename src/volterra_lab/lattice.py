@@ -6,7 +6,10 @@ system on (N+1) x (N+1) symmetric tridiagonal matrices with zero diagonal,
 where the same motion appears two more ways: as a Lax commutator flow and as
 a double-bracket flow driven by the trace objective f(L) = <K, L^2> with
 K = diag(1, 2, 3, ...) / 4.  This module builds all three right-hand sides
-and the pushforward that carries the matrix forms back to u-space.
+and the pushforward that carries the matrix forms back to u-space.  The
+matrix forms share one kernel: the public builders and ``pushforward_rhs``
+call the same private functions of the couplings c, so the pushforward is
+bit for bit the superdiagonal of the public fields.
 
 Orientation of the commutator forms relative to the direct equations is an
 empirical constant of the construction, fixed once by ``calibrate_sign`` and
@@ -21,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import commutator, frobenius_inner
+from .core import frobenius_inner
 
 __all__ = [
     "CALIBRATED_SIGN",
@@ -106,11 +109,7 @@ class LaxMatrix:
 
     def densify(self) -> np.ndarray:
         """Dense (N+1) x (N+1) form; read-only."""
-        n1 = self.dim
-        m = np.zeros((n1, n1))
-        i = np.arange(self.c.size)
-        m[i, i + 1] = self.c
-        m[i + 1, i] = self.c
+        m = _dense_lax(self.c)
         m.flags.writeable = False
         return m
 
@@ -152,6 +151,60 @@ def _weight_matrix(n: int) -> np.ndarray:
     return k
 
 
+def _off_diagonals(n1: int, k: int, upper, lower) -> np.ndarray:
+    # n1 x n1 zeros with `upper` on the k-th superdiagonal and `lower` on the
+    # k-th subdiagonal, written through strided slices of the flat buffer.
+    m = np.zeros(n1 * n1)
+    m[k : n1 * (n1 - k) : n1 + 1] = upper
+    m[k * n1 :: n1 + 1] = lower
+    return m.reshape(n1, n1)
+
+
+def _dense_lax(c: np.ndarray) -> np.ndarray:
+    return _off_diagonals(c.size + 1, 1, c, c)
+
+
+def _generator(c: np.ndarray) -> np.ndarray:
+    prod = 0.5 * c[:-1] * c[1:]
+    return _off_diagonals(c.size + 1, 2, prod, -prod)
+
+
+# Entries off the first off-diagonals, where the double bracket must vanish;
+# cached per dimension and read-only like K.
+@functools.lru_cache(maxsize=16)
+def _off_band(n1: int) -> np.ndarray:
+    r = np.arange(n1)
+    mask = np.abs(r[:, None] - r) != 1
+    mask.flags.writeable = False
+    return mask
+
+
+def _lax_commutator(c: np.ndarray) -> np.ndarray:
+    # [L, A]; the sign sigma is applied by the callers.
+    dense = _dense_lax(c)
+    a = _generator(c)
+    return dense @ a - a @ dense
+
+
+def _bracket_field(c: np.ndarray) -> np.ndarray:
+    # [L, [L^2, K]] with the tangency check of double_bracket_field.
+    n1 = c.size + 1
+    dense = _dense_lax(c)
+    k = build_K(n1)
+    sq = dense @ dense
+    inner = sq @ k - k @ sq
+    field = dense @ inner - inner @ dense
+    tol = TANGENCY_RTOL * float(np.linalg.norm(dense)) ** 3
+    asym = float(np.abs(field - field.T).max())
+    off_band = float(np.abs(field[_off_band(n1)]).max())
+    if asym > tol or off_band > tol:
+        raise InternalConsistencyError(
+            f"double-bracket direction left the tridiagonal tangent space: "
+            f"asymmetry {asym:.3g}, off-band {off_band:.3g}, tolerance {tol:.3g}"
+        )
+    return field
+
+
 def build_A(s: LatticeState) -> np.ndarray:
     """Skew generator of the Lax flow.
 
@@ -159,13 +212,7 @@ def build_A(s: LatticeState) -> np.ndarray:
     c_i c_{i+1} / 2 and (i+2, i) its negative.  For N = 1 there is no such
     pair and the generator is zero.
     """
-    c = np.sqrt(s.u)
-    n1 = s.n + 1
-    a = np.zeros((n1, n1))
-    prod = 0.5 * c[:-1] * c[1:]
-    i = np.arange(prod.size)
-    a[i, i + 2] = prod
-    a[i + 2, i] = -prod
+    a = _generator(np.sqrt(s.u))
     a.flags.writeable = False
     return a
 
@@ -192,19 +239,7 @@ def double_bracket_field(L: LaxMatrix) -> np.ndarray:
     is broken and raises InternalConsistencyError rather than returning
     garbage.
     """
-    dense = L.densify()
-    k = build_K(L.dim)
-    field = commutator(dense, commutator(dense @ dense, k))
-    tol = TANGENCY_RTOL * float(np.linalg.norm(dense)) ** 3
-    asym = float(np.abs(field - field.T).max())
-    i, j = np.indices(field.shape)
-    off_band = float(np.abs(field[np.abs(i - j) != 1]).max())
-    if asym > tol or off_band > tol:
-        raise InternalConsistencyError(
-            f"double-bracket direction left the tridiagonal tangent space: "
-            f"asymmetry {asym:.3g}, off-band {off_band:.3g}, tolerance {tol:.3g}"
-        )
-    return field
+    return _bracket_field(L.c)
 
 
 def _check_sign(sigma) -> int:
@@ -215,9 +250,7 @@ def _check_sign(sigma) -> int:
 
 def lax_rhs(L: LaxMatrix, sigma: int) -> np.ndarray:
     """Commutator right-hand side sigma * [L, A] in dense form."""
-    sigma = _check_sign(sigma)
-    a = build_A(state_from_lax(L))
-    return sigma * commutator(L.densify(), a)
+    return _check_sign(sigma) * _lax_commutator(L.c)
 
 
 def pushforward_rhs(s: LatticeState, form: str, sigma: int = CALIBRATED_SIGN) -> np.ndarray:
@@ -225,19 +258,20 @@ def pushforward_rhs(s: LatticeState, form: str, sigma: int = CALIBRATED_SIGN) ->
 
     The matrix forms advance the couplings, du_i = 2 c_i dc_i with dc_i read
     off the first superdiagonal of the matrix field, so all forms report the
-    motion in the same coordinates.
+    motion in the same coordinates.  Multiplying by sigma is exact, so it is
+    applied to the superdiagonal alone.
     """
     if form == "direct":
-        return volterra_rhs(s)
+        return _volterra_raw(s.u)
     sigma = _check_sign(sigma)
-    L = lax_from_state(s)
     if form == "lax":
-        m = lax_rhs(L, sigma)
+        kernel = _lax_commutator
     elif form == "bracket":
-        m = sigma * double_bracket_field(L)
+        kernel = _bracket_field
     else:
         raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
-    return 2.0 * L.c * np.diagonal(m, 1)
+    c = np.sqrt(s.u)
+    return 2.0 * c * (sigma * kernel(c).diagonal(1))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from volterra_lab import cli, verify
+from volterra_lab import cli, geometry, lattice, verify
 from volterra_lab.integrate import IntegratorConfig, integrate
 from volterra_lab.lattice import LatticeState
+
+# the package re-exports the integrate() function over the submodule name
+itg_module = sys.modules["volterra_lab.integrate"]
 
 
 def test_missing_command_is_an_argparse_error():
@@ -284,3 +287,49 @@ def test_module_entry_point_prints_usage():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: volterra-lab")
+
+
+def test_overflow_exits_3_without_numpy_warnings(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "volterra_lab.cli", "simulate", "--u0", "1e200,1e200",
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == cli.EXIT_INTEGRATION
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("integration failure")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "error", [lattice.InternalConsistencyError("identity broke"), np.linalg.LinAlgError("no convergence")]
+)
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_numerical_breakdown_exits_3_in_one_line(monkeypatch, tmp_path, capsys, error, command):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(itg_module, "pushforward_rhs", broken)
+    argv = [command, "--u0", "1,2", "--form", "lax", "--t1", "0.1"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == cli.EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert err == f"integration failure: {error}\n"
+
+
+def test_degenerate_spectrum_in_verify_exits_4(monkeypatch, capsys):
+    def degenerate(*args, **kwargs):
+        raise geometry.DegenerateSpectrumError("eigenvalue gap 0")
+
+    monkeypatch.setattr(verify, "run_verification", degenerate)
+    assert cli.main(["verify", "--n-list", "1,2", "--trials", "1"]) == cli.EXIT_VERIFICATION
+    assert capsys.readouterr().err == "verification failure: eigenvalue gap 0\n"
+
+
+@pytest.mark.parametrize("args", [["--n-list", "0"], ["--n-list", ","], ["--trials", "0"]])
+def test_verify_empty_battery_is_a_config_error(capsys, args):
+    assert cli.main(["verify", *args]) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err

@@ -207,6 +207,58 @@ def test_adaptive_guard_off_raises_domain_error():
         itg.integrate(cfg, _state(10.0, 1e-6))
 
 
+def test_adaptive_loop_reuses_the_last_stage(monkeypatch):
+    # first same as last: one RHS call to start, then six per attempt,
+    # accepted or rejected (the direct form has no stage-domain rejections)
+    calls = []
+    raw = itg._volterra_raw
+    monkeypatch.setattr(itg, "_volterra_raw", lambda u: calls.append(1) or raw(u))
+    cfg = itg.IntegratorConfig(
+        method="adaptive45", t1=3.0, h0=0.5, tol_abs=1e-8, tol_rel=1e-8, record_every=10**9
+    )
+    rec = itg.integrate(cfg, _state(0.3, 2.0, 5.0, 0.7))
+    assert rec.rejected_steps > 0
+    assert len(calls) == 6 * (rec.accepted_steps + rec.rejected_steps) + 1
+
+
+def _reference_states(cfg, s0):
+    # Each attempt through the public single-step functions, which compute
+    # every stage afresh; the states after each accepted step.
+    field = lambda s: lattice.pushforward_rhs(s, cfg.form, cfg.sigma)
+    eps_t = 1e-12 * (cfg.t1 - cfg.t0)
+    t, s, h = cfg.t0, s0, min(cfg.h0, cfg.t1 - cfg.t0)
+    states = [s.u]
+    while cfg.t1 - t > eps_t:
+        h_try = min(h, cfg.t1 - t)
+        if cfg.method == "rk4":
+            s, accepted = itg.rk4_step(field, s, h_try), True
+        else:
+            step = itg.adaptive45_step(field, s, h_try, cfg.tol_abs, cfg.tol_rel)
+            s, accepted, h = step.state, step.accepted, step.h_next
+        if accepted:
+            t = cfg.t1 if cfg.t1 - (t + h_try) <= eps_t else t + h_try
+            states.append(s.u)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("form", ["lax", "bracket"])
+@pytest.mark.parametrize("method", ["adaptive45", "rk4"])
+def test_integrate_matches_fresh_first_stage_bit_for_bit(form, method):
+    # with a large first step this start draws both error-estimate and
+    # stage-domain rejections, after which the loop must keep its old k1
+    h0 = 0.5 if method == "adaptive45" else 1e-3
+    cfg = itg.IntegratorConfig(
+        method=method, form=form, t1=1.0, h0=h0, tol_abs=1e-8, tol_rel=1e-8
+    )
+    s0 = _state(0.3, 2.0, 5.0, 0.7)
+    rec = itg.integrate(cfg, s0)
+    if method == "adaptive45":
+        assert rec.rejected_steps > 0
+    ref = _reference_states(cfg, s0)
+    assert ref.shape == rec.states.shape
+    assert np.array_equal(rec.states, ref)
+
+
 def test_step_underflow_from_hopeless_tolerance(monkeypatch):
     bad = lambda u: np.full_like(u, np.nan)
     monkeypatch.setattr(itg, "_volterra_raw", bad)

@@ -235,6 +235,33 @@ def test_pushforward_equivalence_sweep():
     assert worst_rel <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+def test_pushforward_is_the_public_field_superdiagonal(n):
+    # the integrator's pushforward and the public dense fields share one
+    # kernel, so the pushforward equals 2 c diag(M, 1) bit for bit
+    stream = SplitMix64(substream_seed(41, n))
+    for _ in range(5):
+        s = lattice.LatticeState(random_state(n, stream))
+        L = lattice.lax_from_state(s)
+        for sigma in (1, -1):
+            fields = {
+                "lax": lattice.lax_rhs(L, sigma),
+                "bracket": sigma * lattice.double_bracket_field(L),
+            }
+            for form, m in fields.items():
+                expected = 2.0 * L.c * np.diagonal(m, 1)
+                assert np.array_equal(lattice.pushforward_rhs(s, form, sigma), expected)
+
+
+def test_tangency_check_fires_on_the_pushforward_path(monkeypatch):
+    # a non-diagonal weight matrix breaks the tridiagonal shape of the
+    # double bracket; the check inside the integrator's RHS must notice
+    monkeypatch.setattr(lattice, "build_K", lambda n: np.ones((n, n)))
+    s = lattice.LatticeState(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(lattice.InternalConsistencyError):
+        lattice.pushforward_rhs(s, "bracket", lattice.CALIBRATED_SIGN)
+
+
 def test_sign_calibration_picks_descent():
     cal = lattice.calibrate_sign()
     assert cal.sigma == lattice.CALIBRATED_SIGN == -1
