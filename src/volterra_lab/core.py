@@ -9,6 +9,7 @@ mutate their arguments, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,20 @@ def dense_matrix(entries) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     m.flags.writeable = False
     return m
+
+
+def _all_in_open(x: np.ndarray, lo: float, hi: float) -> bool:
+    # Every entry of the nonempty array x lies strictly between lo and hi.
+    # Two reductions cost less than a boolean temporary and .all() on short
+    # vectors; NaN propagates through min and max and fails both comparisons.
+    return bool(lo < x.min() and x.max() < hi)
+
+
+def _frobenius_norm(x: np.ndarray) -> float:
+    # What np.linalg.norm(x) computes for a real array, bit for bit, without
+    # its argument dispatch.
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _as_square(x, name: str) -> np.ndarray:
@@ -135,10 +150,10 @@ def symmetric_eigen(s) -> EigenDecomposition:
     ||S||, and ValueError for non-finite entries.
     """
     s = _as_square(s, "matrix")
-    if not np.isfinite(s).all():
+    if not _all_in_open(s, -np.inf, np.inf):
         raise ValueError("matrix entries must be finite")
-    asym = float(np.linalg.norm(s - s.T))
-    if asym > SYMMETRY_RTOL * float(np.linalg.norm(s)):
+    asym = _frobenius_norm(s - s.T)
+    if asym > SYMMETRY_RTOL * _frobenius_norm(s):
         raise NotSymmetricError(f"matrix is not symmetric: ||S - S^T|| = {asym:.3g}")
     eigenvalues, basis = np.linalg.eigh(0.5 * (s + s.T))
     eigenvalues.flags.writeable = False

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import symmetric_eigen, trace_power
+from .core import _all_in_open, symmetric_eigen, trace_power
 from .lattice import (
     CALIBRATED_SIGN,
     FORMS,
@@ -80,7 +80,8 @@ class IntegrationError(RuntimeError):
 
 
 class StepUnderflowError(IntegrationError):
-    """Step control drove h below the resolvable fraction of the span."""
+    """Step control drove h below the resolvable fraction of the span, or a
+    step was too small to advance t."""
 
 
 class PositivityAbortError(IntegrationError):
@@ -170,7 +171,7 @@ def _wrap_state_field(field):
         except ValueError as exc:
             raise _StageDomainError(str(exc)) from exc
         d = np.asarray(field(s), dtype=float)
-        if not np.isfinite(d).all():
+        if not _all_in_open(d, -np.inf, np.inf):
             raise PropagationError("right-hand side returned a non-finite derivative")
         return d
 
@@ -363,6 +364,10 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
 
     def advance(t_now: float, h_step: float) -> float:
         t_next = t_now + h_step
+        if t_next == t_now:
+            raise StepUnderflowError(
+                f"step size {h_step:.3g} does not advance t = {t_now:.6g}"
+            )
         if config.t1 - t_next <= eps_t:
             return config.t1
         return t_next
@@ -376,9 +381,10 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 raise PositivityAbortError(
                     f"stage left the state domain at t = {t:.6g} with h = {h:.3g}: {exc}"
                 ) from exc
-            if not np.isfinite(u_new).all():
+            lo, hi = u_new.min(), u_new.max()
+            if not (-np.inf < lo and hi < np.inf):
                 raise PropagationError(f"non-finite state produced at t = {t:.6g}")
-            if guard and not (u_new > 0.0).all():
+            if guard and not (lo > 0.0):
                 bad = int(np.argmin(u_new))
                 raise PositivityAbortError(
                     f"site u_{bad + 1} = {u_new[bad]:.3g} at t = {t + h:.6g}; "
@@ -412,13 +418,16 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 h = 0.5 * h_try
                 continue
             scale = config.tol_abs + config.tol_rel * np.abs(u)
-            err_est = float(np.max(np.abs(err_vec) / scale))
-            if not (np.isfinite(err_est) and np.isfinite(u5).all()):
+            err_est = float((np.abs(err_vec) / scale).max())
+            # One min and one max decide both "finite" and "positive"; NaN
+            # propagates through both and fails every comparison.
+            lo, hi = u5.min(), u5.max()
+            if not (math.isfinite(err_est) and -np.inf < lo and hi < np.inf):
                 rejected += 1
                 h = _SHRINK_MIN * h_try
                 continue
             if err_est <= 1.0:
-                if not (u5 > 0.0).all():
+                if not (lo > 0.0):
                     if not guard:
                         raise FieldDomainError(
                             f"state left the positive cone at t = {t:.6g}; "

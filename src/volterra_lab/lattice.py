@@ -9,7 +9,10 @@ K = diag(1, 2, 3, ...) / 4.  This module builds all three right-hand sides
 and the pushforward that carries the matrix forms back to u-space.  The
 matrix forms share one kernel: the public builders and ``pushforward_rhs``
 call the same private functions of the couplings c, so the pushforward is
-bit for bit the superdiagonal of the public fields.
+bit for bit the superdiagonal of the public fields.  The dense [L, A] of
+``lax_rhs`` stays as the reference object; the pushforward reads its
+superdiagonal by an O(N) formula that gives the same bits, because each
+entry there is a single product in both L A and A L.
 
 Orientation of the commutator forms relative to the direct equations is an
 empirical constant of the construction, fixed once by ``calibrate_sign`` and
@@ -24,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import frobenius_inner
+from .core import _all_in_open, _frobenius_norm, frobenius_inner
 
 __all__ = [
     "CALIBRATED_SIGN",
@@ -64,6 +67,15 @@ class InternalConsistencyError(RuntimeError):
     """An algebraic identity the implementation relies on failed numerically."""
 
 
+def _require_finite_positive(arr: np.ndarray, name: str) -> None:
+    # The slower isfinite pass runs only on failure, to pick the message:
+    # a non-finite entry is reported before a nonpositive one.
+    if not _all_in_open(arr, 0.0, np.inf):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+        raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeState:
     """Positive site variables u_1..u_N; boundary sites are implicit zeros."""
@@ -74,10 +86,7 @@ class LatticeState:
         arr = np.array(self.u, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"state must be a nonempty vector, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("site variables must be finite")
-        if not (arr > 0.0).all():
-            raise ValueError("site variables must be positive")
+        _require_finite_positive(arr, "site variables")
         arr.flags.writeable = False
         object.__setattr__(self, "u", arr)
 
@@ -96,10 +105,7 @@ class LaxMatrix:
         arr = np.array(self.c, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"need a nonempty vector of couplings, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("couplings must be finite")
-        if not (arr > 0.0).all():
-            raise ValueError("couplings must be positive")
+        _require_finite_positive(arr, "couplings")
         arr.flags.writeable = False
         object.__setattr__(self, "c", arr)
 
@@ -164,8 +170,13 @@ def _dense_lax(c: np.ndarray) -> np.ndarray:
     return _off_diagonals(c.size + 1, 1, c, c)
 
 
+def _generator_entries(c: np.ndarray) -> np.ndarray:
+    # Entries (i, i+2) of A, c_i c_{i+1} / 2.
+    return 0.5 * c[:-1] * c[1:]
+
+
 def _generator(c: np.ndarray) -> np.ndarray:
-    prod = 0.5 * c[:-1] * c[1:]
+    prod = _generator_entries(c)
     return _off_diagonals(c.size + 1, 2, prod, -prod)
 
 
@@ -186,6 +197,18 @@ def _lax_commutator(c: np.ndarray) -> np.ndarray:
     return dense @ a - a @ dense
 
 
+def _lax_superdiagonal(c: np.ndarray) -> np.ndarray:
+    # First superdiagonal of [L, A] in O(N).  There each entry of L A and of
+    # A L has exactly one nonzero product, c_{i-1} A_{i-1,i+1} and
+    # A_{i,i+2} c_{i+1}; the dense products only add exact zeros to it, so
+    # this is bit for bit _lax_commutator(c).diagonal(1).
+    prod = _generator_entries(c)
+    sup = np.zeros(c.size)
+    sup[1:] = c[:-1] * prod
+    sup[:-1] -= prod * c[1:]
+    return sup
+
+
 def _bracket_field(c: np.ndarray) -> np.ndarray:
     # [L, [L^2, K]] with the tangency check of double_bracket_field.
     n1 = c.size + 1
@@ -194,7 +217,7 @@ def _bracket_field(c: np.ndarray) -> np.ndarray:
     sq = dense @ dense
     inner = sq @ k - k @ sq
     field = dense @ inner - inner @ dense
-    tol = TANGENCY_RTOL * float(np.linalg.norm(dense)) ** 3
+    tol = TANGENCY_RTOL * _frobenius_norm(dense) ** 3
     asym = float(np.abs(field - field.T).max())
     off_band = float(np.abs(field[_off_band(n1)]).max())
     if asym > tol or off_band > tol:
@@ -259,19 +282,23 @@ def pushforward_rhs(s: LatticeState, form: str, sigma: int = CALIBRATED_SIGN) ->
     The matrix forms advance the couplings, du_i = 2 c_i dc_i with dc_i read
     off the first superdiagonal of the matrix field, so all forms report the
     motion in the same coordinates.  Multiplying by sigma is exact, so it is
-    applied to the superdiagonal alone.
+    folded into the factor 2 rather than applied to the field.  The Lax
+    superdiagonal is computed in O(N) and equals that of ``lax_rhs`` bit for
+    bit; the double bracket is formed densely, with its tangency check.
     """
     if form == "direct":
         return _volterra_raw(s.u)
     sigma = _check_sign(sigma)
+    c = np.sqrt(s.u)
     if form == "lax":
-        kernel = _lax_commutator
+        sup = _lax_superdiagonal(c)
     elif form == "bracket":
-        kernel = _bracket_field
+        sup = _bracket_field(c).diagonal(1)
     else:
         raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
-    c = np.sqrt(s.u)
-    return 2.0 * c * (sigma * kernel(c).diagonal(1))
+    # (2 sigma c) sup has the bits of (2 c)(sigma sup): scaling by 2 and by
+    # sigma is exact and rounding is symmetric in sign.
+    return (2.0 * sigma) * c * sup
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,21 @@ def test_overflow_exits_3_without_numpy_warnings(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_step_that_does_not_advance_t_exits_3(tmp_path):
+    # 1 + 1e-300 == 1, so the fixed-step loop would repeat one step forever
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "volterra_lab.cli", "simulate", "--u0", "1,2",
+         "--method", "rk4", "--h0", "1e-300", "--t0", "1", "--t1", "2",
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == cli.EXIT_INTEGRATION
+    assert proc.stderr.startswith("integration failure")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "error", [lattice.InternalConsistencyError("identity broke"), np.linalg.LinAlgError("no convergence")]
 )

@@ -197,8 +197,12 @@ def test_eigen_rejects_asymmetric():
 
 
 def test_eigen_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        core.symmetric_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            core.symmetric_eigen(np.array([[bad, 0.0], [0.0, 1.0]]))
+        # reported as non-finite even where the entry also breaks symmetry
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            core.symmetric_eigen(np.array([[0.0, bad], [0.0, 1.0]]))
 
 
 def test_eigen_unit_lax_closed_form():

@@ -130,12 +130,18 @@ def test_integrate_matches_across_methods():
     assert ada.accepted_steps < ref.accepted_steps / 50
 
 
+def _logistic_pair(u0, t):
+    # Closed-form N = 2 flow: u1 + u2 = c is conserved and du1/dt = u1 (c - u1),
+    # so u1 = c / (1 + q) and u2 = c q / (1 + q) with q = (c / u1(0) - 1) e^{-ct}.
+    c = u0[0] + u0[1]
+    q = (c / u0[0] - 1.0) * np.exp(-c * t)
+    return np.array([c / (1.0 + q), c * q / (1.0 + q)])
+
+
 def test_adaptive_tolerance_controls_error():
     # tighter tolerances give smaller final-state error and more steps
     s0 = _state(1.0, 2.0)
-    ref = itg.integrate(
-        itg.IntegratorConfig(method="rk4", t1=2.0, h0=1e-5, record_every=10**9), s0
-    )
+    exact = _logistic_pair(s0.u, 2.0)
     errs = []
     steps = []
     for tol in (1e-6, 1e-8, 1e-10):
@@ -146,7 +152,7 @@ def test_adaptive_tolerance_controls_error():
             ),
             s0,
         )
-        errs.append(np.abs(rec.states[-1] - ref.states[-1]).max())
+        errs.append(np.abs(rec.states[-1] - exact).max())
         steps.append(rec.accepted_steps)
     assert errs[0] > errs[2]
     assert steps[0] < steps[1] < steps[2]
@@ -259,12 +265,43 @@ def test_integrate_matches_fresh_first_stage_bit_for_bit(form, method):
     assert np.array_equal(rec.states, ref)
 
 
+def test_nonfinite_attempt_is_rejected_with_the_shrink_factor(monkeypatch):
+    # a non-finite stage poisons u5 and the error estimate; the loop rejects
+    # the attempt, shrinks h by _SHRINK_MIN and otherwise carries on as a
+    # clean run started from that step
+    raw = itg._volterra_raw
+    calls = []
+
+    def poisoned(u):
+        calls.append(1)
+        return np.full_like(u, np.inf) if len(calls) == 3 else raw(u)
+
+    base = dict(method="adaptive45", t1=3.0, tol_abs=1e-8, tol_rel=1e-8)
+    s0 = _state(0.3, 2.0, 5.0, 0.7)
+    clean = itg.integrate(itg.IntegratorConfig(h0=itg._SHRINK_MIN * 0.1, **base), s0)
+    monkeypatch.setattr(itg, "_volterra_raw", poisoned)
+    rec = itg.integrate(itg.IntegratorConfig(h0=0.1, **base), s0)
+    assert rec.rejected_steps == clean.rejected_steps + 1
+    assert rec.accepted_steps == clean.accepted_steps
+    assert np.array_equal(rec.times, clean.times)
+    assert np.array_equal(rec.states, clean.states)
+    assert len(calls) == 6 * (rec.accepted_steps + rec.rejected_steps) + 1
+
+
 def test_step_underflow_from_hopeless_tolerance(monkeypatch):
     bad = lambda u: np.full_like(u, np.nan)
     monkeypatch.setattr(itg, "_volterra_raw", bad)
     cfg = itg.IntegratorConfig(method="adaptive45", t1=1.0, h0=1e-3)
     with pytest.raises(itg.StepUnderflowError):
         itg.integrate(cfg, _state(1.0, 1.0))
+
+
+def test_adaptive_step_that_does_not_advance_t_raises():
+    # near t = 1e6 a step of 1e-12 is below half an ulp of t; accepting it
+    # would record a new state at an unchanged time
+    cfg = itg.IntegratorConfig(method="adaptive45", t0=1e6, t1=1e6 + 1e-3, h0=1e-12)
+    with pytest.raises(itg.StepUnderflowError, match="does not advance"):
+        itg.integrate(cfg, _state(1.0, 2.0))
 
 
 def test_invariant_report_conservation_on_flow():

@@ -25,6 +25,29 @@ def test_state_validation():
     assert s.n == 2
 
 
+_BAD_ENTRIES = [
+    ([1.0, np.inf], "finite"),
+    ([1.0, -np.inf], "finite"),
+    ([1.0, np.nan], "finite"),
+    ([np.nan, -1.0], "finite"),
+    ([1.0, 0.0], "positive"),
+    ([1.0, -1.0], "positive"),
+]
+
+
+@pytest.mark.parametrize("values, problem", _BAD_ENTRIES)
+def test_state_validation_messages(values, problem):
+    # a non-finite entry is reported before a nonpositive one
+    with pytest.raises(ValueError, match=f"^site variables must be {problem}$"):
+        lattice.LatticeState(np.array(values))
+
+
+@pytest.mark.parametrize("values, problem", _BAD_ENTRIES)
+def test_lax_matrix_validation_messages(values, problem):
+    with pytest.raises(ValueError, match=f"^couplings must be {problem}$"):
+        lattice.LaxMatrix(np.array(values))
+
+
 def test_lax_roundtrip_exact_perfect_squares():
     s = lattice.LatticeState(np.array([1.0, 4.0, 9.0]))
     lax = lattice.lax_from_state(s)
@@ -235,10 +258,16 @@ def test_pushforward_equivalence_sweep():
     assert worst_rel <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+def _bits(x):
+    # compare through the integer view, so signed zeros and NaN payloads count
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 129])
 def test_pushforward_is_the_public_field_superdiagonal(n):
-    # the integrator's pushforward and the public dense fields share one
-    # kernel, so the pushforward equals 2 c diag(M, 1) bit for bit
+    # the integrator's pushforward equals 2 c diag(M, 1) bit for bit, where
+    # M is the public dense field: the bracket shares its kernel, and the
+    # O(N) Lax superdiagonal is exact because each entry is a single product
     stream = SplitMix64(substream_seed(41, n))
     for _ in range(5):
         s = lattice.LatticeState(random_state(n, stream))
@@ -250,7 +279,17 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
             }
             for form, m in fields.items():
                 expected = 2.0 * L.c * np.diagonal(m, 1)
-                assert np.array_equal(lattice.pushforward_rhs(s, form, sigma), expected)
+                got = lattice.pushforward_rhs(s, form, sigma)
+                assert np.array_equal(_bits(got), _bits(expected))
+    # sites log-uniform over 200 decades, far beyond the integrator's range
+    rng = np.random.default_rng(substream_seed(43, n))
+    for _ in range(20):
+        s = lattice.LatticeState(10.0 ** rng.uniform(-100.0, 100.0, n))
+        L = lattice.lax_from_state(s)
+        for sigma in (1, -1):
+            expected = 2.0 * L.c * np.diagonal(lattice.lax_rhs(L, sigma), 1)
+            got = lattice.pushforward_rhs(s, "lax", sigma)
+            assert np.array_equal(_bits(got), _bits(expected))
 
 
 def test_tangency_check_fires_on_the_pushforward_path(monkeypatch):
