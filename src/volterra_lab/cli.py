@@ -309,18 +309,7 @@ def cmd_gradient_check(
         file=out_stream,
     )
     for trial in range(trials):
-        state = None
-        for attempt in range(50):
-            stream = rng.SplitMix64(rng.substream_seed(seed, 8, n, trial, attempt))
-            candidate = lattice.LatticeState(rng.random_state(n, stream))
-            try:
-                ctx = geometry.orbit_context(lattice.lax_from_state(candidate))
-            except geometry.DegenerateSpectrumError:
-                continue
-            state = candidate
-            break
-        if state is None:
-            raise ConfigError("could not draw a state with a workable spectrum")
+        _, ctx, stream, _ = verify._draw_context(seed, 8, n, trial)
         # direction norm 10: keeps the eps^2 term of the centered difference
         # well above the double-precision floor of f at the smallest eps
         t = rng.skew_matrix(n + 1, stream)
@@ -400,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=25, help="trials per site count")
     ver.add_argument("--seed", type=int, default=1, help="battery seed")
     ver.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for independent trials")
+                     help="worker processes for independent trials (capped by the CPU count)")
 
     gc = sub.add_parser("gradient-check",
                         help="finite-difference check of the directional derivative")

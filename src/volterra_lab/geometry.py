@@ -25,6 +25,7 @@ from .lattice import (
     CALIBRATED_SIGN,
     LatticeState,
     LaxMatrix,
+    _check_sign,
     build_K,
     lax_from_state,
     volterra_rhs,
@@ -228,8 +229,7 @@ def gradient_flow_identity_check(s: LatticeState, sigma: int = CALIBRATED_SIGN) 
     machinery: the tridiagonal velocity assembled from dc_i = u_dot_i / (2 c_i),
     and df/dt from the chain rule in u-space, f = sum_n u_n (2n + 1) / 4.
     """
-    if sigma not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sigma!r}")
+    sigma = _check_sign(sigma)
     L = lax_from_state(s)
     ctx = orbit_context(L)
     grad = orbit_gradient(ctx)
@@ -252,7 +252,7 @@ def gradient_flow_identity_check(s: LatticeState, sigma: int = CALIBRATED_SIGN) 
     energy_tolerance = 1e-10 * (1.0 + abs(df_dt))
 
     return GradientFlowReport(
-        sigma=int(sigma),
+        sigma=sigma,
         field_residual=field_residual,
         field_tolerance=field_tolerance,
         energy_residual=energy_residual,

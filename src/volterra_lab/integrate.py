@@ -31,6 +31,7 @@ from .lattice import (
     CALIBRATED_SIGN,
     FORMS,
     LatticeState,
+    _check_sign,
     _volterra_raw,
     lax_from_state,
     objective_f,
@@ -121,8 +122,7 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}, expected one of {FORMS}")
-        if self.sigma not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sigma!r}")
+        _check_sign(self.sigma)
         for name in ("t0", "t1", "h0", "tol_abs", "tol_rel"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -189,18 +189,25 @@ def _rk4_raw(f, u, h):
 def rk4_step(field, s: LatticeState, h: float) -> LatticeState:
     """One classical fourth-order step of size h.
 
-    ``field`` maps a LatticeState to the derivative of u.  Stage states are
-    validated, so a stage that leaves the domain raises PositivityAbortError,
-    and a non-finite derivative raises PropagationError.
+    ``field`` maps a LatticeState to the derivative of u.  Stage states and
+    the result are validated as in the fixed-step loop: a stage or a step
+    that leaves the positive cone raises PositivityAbortError, and a
+    non-finite derivative or result raises PropagationError.
     """
     if not (h > 0.0):
         raise ValueError("need h > 0")
     try:
-        return LatticeState(_rk4_raw(_wrap_state_field(field), s.u, h))
+        u_new = _rk4_raw(_wrap_state_field(field), s.u, h)
     except _StageDomainError as exc:
         raise PositivityAbortError(
             f"stage left the state domain with h = {h:.3g}: {exc}"
         ) from exc
+    lo, hi = u_new.min(), u_new.max()
+    if not (-np.inf < lo and hi < np.inf):
+        raise PropagationError(f"non-finite state produced with h = {h:.3g}")
+    if not (lo > 0.0):
+        raise PositivityAbortError(f"step left the positive cone with h = {h:.3g}")
+    return LatticeState(u_new)
 
 
 # Dormand-Prince 5(4) tableau.  The first row of b is the fifth-order

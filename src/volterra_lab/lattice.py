@@ -327,27 +327,19 @@ def calibrate_sign(
     the orientation of the construction.  The margin is many orders of
     magnitude, so the answer does not depend on the step count.
     """
+    from .integrate import IntegratorConfig, _raw_field, _rk4_raw
+
     if state is None:
         state = LatticeState((1.0, 1.0))
     h = t_end / n_steps
-
-    def rk4(f, u):
-        k1 = f(u)
-        k2 = f(u + 0.5 * h * k1)
-        k3 = f(u + 0.5 * h * k2)
-        k4 = f(u + h * k3)
-        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def lax_field(sig):
-        return lambda u: pushforward_rhs(LatticeState(u), "lax", sig)
-
+    lax_field = {sig: _raw_field(IntegratorConfig(form="lax", sigma=sig)) for sig in (+1, -1)}
     u_direct = state.u.copy()
     u_lax = {+1: state.u.copy(), -1: state.u.copy()}
     disc = {+1: 0.0, -1: 0.0}
     for _ in range(n_steps):
-        u_direct = rk4(_volterra_raw, u_direct)
+        u_direct = _rk4_raw(_volterra_raw, u_direct, h)
         for sig in (+1, -1):
-            u_lax[sig] = rk4(lax_field(sig), u_lax[sig])
+            u_lax[sig] = _rk4_raw(lax_field[sig], u_lax[sig], h)
             disc[sig] = max(disc[sig], float(np.abs(u_lax[sig] - u_direct).max()))
     sigma = -1 if disc[-1] <= disc[+1] else +1
     return SignCalibration(sigma=sigma, discrepancy=disc)

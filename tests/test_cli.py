@@ -348,3 +348,15 @@ def test_degenerate_spectrum_in_verify_exits_4(monkeypatch, capsys):
 def test_verify_empty_battery_is_a_config_error(capsys, args):
     assert cli.main(["verify", *args]) == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_gradient_check_without_a_workable_spectrum_exits_4(monkeypatch, capsys):
+    def degenerate(L):
+        raise geometry.DegenerateSpectrumError("eigenvalue gap 0")
+
+    monkeypatch.setattr(geometry, "orbit_context", degenerate)
+    rc = cli.main(["gradient-check", "--n", "3", "--trials", "1"])
+    assert rc == cli.EXIT_VERIFICATION
+    assert capsys.readouterr().err == (
+        "verification failure: no workable spectrum in 50 draws (n = 3, trial = 0)\n"
+    )

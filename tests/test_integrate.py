@@ -57,6 +57,17 @@ def test_rk4_step_validation_and_errors():
         itg.rk4_step(lambda st: -100.0 * st.u, s, 0.1)
 
 
+def test_rk4_step_combined_step_leaving_the_cone_aborts():
+    # every stage state stays positive; the last stage's slope of -100 takes
+    # the combined step from u = 1 to 1 - 8.375
+    field = lambda st: np.where(st.u > 0.96, -0.1, -100.0)
+    with pytest.raises(itg.PositivityAbortError):
+        itg.rk4_step(field, _state(1.0), 0.5)
+    # finite stages whose weighted sum overflows
+    with np.errstate(over="ignore"), pytest.raises(itg.PropagationError):
+        itg.rk4_step(lambda st: np.full_like(st.u, 1e308), _state(1.0), 1.0)
+
+
 def test_adaptive_step_fixed_point():
     s = _state(5.0)
     att = itg.adaptive45_step(volterra_rhs, s, 0.3, 1e-10, 1e-10)

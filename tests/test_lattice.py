@@ -308,6 +308,13 @@ def test_sign_calibration_picks_descent():
     assert cal.discrepancy[+1] > 1e-3
 
 
+def test_sign_calibration_discrepancy_is_pinned():
+    # the twin run's bits, unchanged since it ran on a private RK4 copy
+    cal = lattice.calibrate_sign()
+    assert cal.discrepancy[+1].hex() == "0x1.983d7795f411cp-3"
+    assert cal.discrepancy[-1] == 0.0
+
+
 def test_sign_calibration_stable_across_states():
     stream = SplitMix64(substream_seed(26, 0))
     for n in (2, 3, 5):

@@ -1,6 +1,6 @@
 import pytest
 
-from volterra_lab import verify
+from volterra_lab import lattice, verify
 
 
 def test_small_battery_passes():
@@ -42,3 +42,67 @@ def test_single_check_shapes():
     assert check.passed
     assert check.trials == 15
     assert check.name == "lax-generator-equals-bracket"
+
+
+def test_default_battery_passes_on_seed_2():
+    # the absolute drift of tr L^k was 1.4e-9 here against 1e-9; relative to
+    # 1 + |tr L^k(t0)| it is 2.6e-12
+    report = verify.run_verification((1, 2, 3, 5, 8), 25, 2)
+    assert report.passed
+    drift = report.checks[-1]
+    assert drift.name == "isospectral-drift"
+    assert "relative trace drift" in drift.detail
+
+
+def test_battery_runs_the_default_calibration_once(monkeypatch):
+    calls = []
+    real = lattice.calibrate_sign
+
+    def counting(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "calibrate_sign", counting)
+    report = verify.run_verification((1, 2), trials=1, seed=1)
+    # the default state once, then the three drawn states of the sign check
+    assert len(calls) == 4
+    assert calls.count(()) == 1
+    assert report.sigma == lattice.CALIBRATED_SIGN
+    assert report.discrepancy == dict(real().discrepancy)
+
+
+def test_jobs_are_capped_by_cpus_and_chunks(monkeypatch):
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    serial = verify.check_lax_generator((1, 2), trials=20, seed=1)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    # 40 tasks make 3 chunks of at most 16
+    assert verify.check_lax_generator((1, 2), trials=20, seed=1, jobs=64) == serial
+    assert verify.check_lax_generator((1, 2), trials=20, seed=1, jobs=2) == serial
+    # one chunk runs in this process, whatever jobs asks for
+    verify.check_lax_generator((1,), trials=1, seed=1, jobs=6)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    verify.check_lax_generator((1, 2, 3), trials=30, seed=1, jobs=8)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    verify.check_lax_generator((1, 2), trials=20, seed=1, jobs=8)
+    assert created == [3, 2, 2]
+
+
+def test_process_pool_matches_serial_sweep():
+    # 33 tasks are 3 chunks, so a two-CPU host runs this sweep on 2 workers
+    serial = verify.check_chain_equality((1, 2, 3), trials=11, seed=4)
+    assert verify.check_chain_equality((1, 2, 3), trials=11, seed=4, jobs=2) == serial
