@@ -209,6 +209,31 @@ def _lax_superdiagonal(c: np.ndarray) -> np.ndarray:
     return sup
 
 
+# Byte budget for one block of bidiagonal matrices in _lax_spectra, so a
+# long recorded run at large N never holds all of them at once.
+_SPECTRUM_BLOCK_BYTES = 1 << 20
+
+
+def _lax_spectra(c: np.ndarray) -> np.ndarray:
+    # Ascending spectra of the Lax matrices with the rows of c as couplings.
+    # L couples even with odd indices only, so L = [[0, B], [B^T, 0]] with B
+    # lower bidiagonal, B[i, i] = c[2i], B[i+1, i] = c[2i+1], and spec L is
+    # -sigma(B), an exact 0 when dim L is odd, and sigma(B) (Golub & Kahan).
+    s, n = c.shape
+    k = (n + 1) // 2
+    r = n + 1 - k
+    out = np.zeros((s, n + 1))
+    step = max(1, _SPECTRUM_BLOCK_BYTES // (8 * r * k))
+    for lo in range(0, s, step):
+        flat = np.zeros((min(step, s - lo), r * k))
+        flat[:, :: k + 1] = c[lo : lo + step, 0::2]
+        flat[:, k :: k + 1] = c[lo : lo + step, 1::2]
+        sigma = np.linalg.svd(flat.reshape(-1, r, k), compute_uv=False)
+        out[lo : lo + step, :k] = -sigma
+        out[lo : lo + step, r:] = sigma[:, ::-1]
+    return out
+
+
 def _bracket_field(c: np.ndarray) -> np.ndarray:
     # [L, [L^2, K]] with the tangency check of double_bracket_field.
     n1 = c.size + 1

@@ -270,7 +270,7 @@ def check_isospectral_drift(n_list, seed: int) -> CheckResult:
         trials=1,
         detail=(
             f"n = {n}, t in [0, 1]; relative trace drift {trace_worst:.3g} "
-            f"vs {THRESHOLD_TRACE_DRIFT:.0e}"
+            f"(k = {', '.join(map(str, TRACE_POWERS))}) vs {THRESHOLD_TRACE_DRIFT:.0e}"
         ),
     )
 

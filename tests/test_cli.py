@@ -220,6 +220,9 @@ def test_spectrum_command(capsys):
     assert "max drift" in out
     drift = float(out.strip().split("max drift = ")[1].split(",")[0])
     assert drift <= 1e-6
+    gap = float(out.strip().split("max gap to dense eigh = ")[1])
+    lam_max = max(abs(float(line.split()[k])) for line in out.splitlines()[1:-1] for k in (1, 2))
+    assert gap <= 1e-13 * (1.0 + lam_max)
 
 
 def test_verify_command_passes(capsys):

@@ -8,6 +8,7 @@ import importlib
 # so fetch the module itself for monkeypatching and attribute access
 itg = importlib.import_module("volterra_lab.integrate")
 from volterra_lab import lattice
+from volterra_lab.core import trace_power
 from volterra_lab.lattice import CALIBRATED_SIGN, LatticeState, volterra_rhs
 from volterra_lab.rng import SplitMix64, random_state, substream_seed
 
@@ -115,7 +116,7 @@ def test_integrate_sampling_stride_and_endpoints():
     assert np.all(np.diff(rec.times) > 0.0)
     assert rec.states.shape == (5, 2)
     assert rec.spectra.shape == (5, 3)
-    assert rec.traces.shape == (5, 3)
+    assert rec.traces.shape == (5, len(itg.TRACE_POWERS)) == (5, 2)
 
 
 def test_integrate_partial_final_step():
@@ -346,7 +347,7 @@ def test_invariant_report_counts_violations():
         states=np.ones((3, 2)),
         f_values=np.array([1.0, 1.1, 1.05]),
         spectra=np.zeros((3, 3)),
-        traces=np.zeros((3, 3)),
+        traces=np.zeros((3, 2)),
         accepted_steps=2,
         rejected_steps=0,
     )
@@ -354,17 +355,43 @@ def test_invariant_report_counts_violations():
     assert summary.f_violations == 1
 
 
-def test_trace_samples_match_closed_forms():
-    stream = SplitMix64(substream_seed(41, 0))
-    s0 = LatticeState(random_state(6, stream))
-    cfg = itg.IntegratorConfig(method="rk4", t1=1.0, h0=1e-3, record_every=200)
+def _dense_L(u):
+    return lattice.lax_from_state(LatticeState(u)).densify()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 128])
+def test_samples_match_dense_oracles(n):
+    # spectra against eigvalsh of the dense L, f and tr L^k against their
+    # dense definitions; n + 1 odd and even both occur
+    stream = SplitMix64(substream_seed(41, n))
+    s0 = LatticeState(random_state(n, stream))
+    cfg = itg.IntegratorConfig(method="rk4", t1=0.02, h0=1e-3, record_every=4)
     rec = itg.integrate(cfg, s0)
-    for row, u in zip(rec.traces, rec.states):
-        tr2 = 2.0 * u.sum()
-        tr4 = 2.0 * np.sum(u**2) + 4.0 * np.sum(u[:-1] * u[1:])
-        assert row[0] == pytest.approx(tr2, rel=1e-12)
-        assert abs(row[1]) <= 1e-13 * (1.0 + tr2) ** 1.5
-        assert row[2] == pytest.approx(tr4, rel=1e-12)
+    assert rec.n_samples == 6
+    for u, lam, f, tr in zip(rec.states, rec.spectra, rec.f_values, rec.traces):
+        dense = _dense_L(u)
+        ref = np.linalg.eigvalsh(dense)
+        assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
+        if n % 2 == 0:
+            assert lam[n // 2] == 0.0
+        assert f == pytest.approx(lattice.trace_objective(dense), rel=1e-14, abs=0.0)
+        for k, value in zip(itg.TRACE_POWERS, tr):
+            assert value == pytest.approx(trace_power(dense, k), rel=1e-14, abs=0.0)
+
+
+def test_spectra_across_block_seams(monkeypatch):
+    # 9 sites give a 5 x 5 bidiagonal block of 200 bytes, so a 600-byte
+    # budget splits the 11 samples into blocks of 3, 3, 3 and 2
+    s0 = LatticeState(random_state(9, SplitMix64(substream_seed(41, 2))))
+    cfg = itg.IntegratorConfig(method="rk4", t1=0.01, h0=1e-3)
+    whole = itg.integrate(cfg, s0)
+    monkeypatch.setattr(lattice, "_SPECTRUM_BLOCK_BYTES", 600)
+    blocked = itg.integrate(cfg, s0)
+    assert blocked.n_samples == 11
+    npt.assert_array_equal(blocked.spectra, whole.spectra)
+    for u, lam in zip(blocked.states, blocked.spectra):
+        ref = np.linalg.eigvalsh(_dense_L(u))
+        assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_spectrum_samples_are_sign_symmetric():
@@ -373,7 +400,8 @@ def test_spectrum_samples_are_sign_symmetric():
     cfg = itg.IntegratorConfig(method="rk4", t1=1.0, h0=1e-3, record_every=250)
     rec = itg.integrate(cfg, s0)
     for lam in rec.spectra:
-        assert np.abs(lam + lam[::-1]).max() <= 1e-10 * (1.0 + np.abs(lam).max())
+        # exact: the spectra are assembled as -sigma, (0), sigma
+        npt.assert_array_equal(lam, -lam[::-1])
 
 
 def test_format_invariant_summary_mentions_the_numbers():
@@ -382,4 +410,5 @@ def test_format_invariant_summary_mentions_the_numbers():
     text = itg.format_invariant_summary(itg.invariant_report(rec), rec)
     assert "eigenvalue drift" in text
     assert "tr L^4" in text
+    assert "tr L^3" not in text
     assert "violations = 0" in text

@@ -52,6 +52,7 @@ def test_default_battery_passes_on_seed_2():
     drift = report.checks[-1]
     assert drift.name == "isospectral-drift"
     assert "relative trace drift" in drift.detail
+    assert "(k = 2, 4)" in drift.detail
 
 
 def test_battery_runs_the_default_calibration_once(monkeypatch):
