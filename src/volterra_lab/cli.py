@@ -7,10 +7,12 @@ and ``gradient-check`` compares finite differences of the objective against
 the closed-form directional derivative.
 
 Runs are configured by a flat key=value file (``#`` starts a comment) with
-every key also available as a flag; flags win.  Output is a deterministic
-function of the configuration: same config and seed, byte-identical t, u
-and f columns, and f makes no BLAS call.  The eigenvalue columns come from
-LAPACK and are byte-identical only on one machine and numpy/LAPACK build.
+every key also available as a flag; flags win.  On one machine the t, u and
+f columns are a byte-deterministic function of the configuration and seed.
+Across machines they stay byte-identical for rk4 runs of the direct and lax
+forms; adaptive45 runs also depend on the C library's pow (the controller's
+err ** -0.2), the bracket form on the BLAS build.  The eigenvalue columns
+come from LAPACK and are byte-identical only on one numpy/LAPACK build.
 
 Exit codes: 0 success, 2 configuration error, 3 integration failure,
 4 verification failure.

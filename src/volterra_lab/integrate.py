@@ -8,7 +8,9 @@ same state representation and makes the trajectories directly comparable.
 The adaptive loop reuses the last stage of an accepted attempt, f(u5), as
 the first stage of the next one (first same as last), and a rejected attempt
 keeps its first stage, so each attempt costs 6 right-hand-side calls, plus
-one for the start.
+one for the start.  An attempt stacks its stages as the rows of one (7, N)
+array; each stage combination is one multiply by a cached (s, N) tableau
+block and one row-sum in index order, the bits of the written-out sum.
 
 Positivity of u is an invariant of the exact flow, so a step that leaves the
 positive cone is numerical damage: the adaptive loop rejects it and halves
@@ -18,12 +20,16 @@ Sampling stores t and u only.  After the loop one vectorised pass adds the
 objective f = sum (2n+1) u_n / 4, the Lax spectrum from a batched bidiagonal
 SVD, and tr L^k for k = 2, 4 in closed form (tr L^3 is identically 0); the
 spectrum and traces are conserved by the exact flow and serve as accuracy
-meters for the discrete one.  t, u and f are byte-deterministic and f makes
-no BLAS call; the spectrum is byte-identical only on one LAPACK build.
+meters for the discrete one.  On one machine t, u and f are byte-deterministic
+and f makes no BLAS call.  Across machines rk4 runs of the direct and lax
+forms use only IEEE arithmetic and sqrt; adaptive runs also depend on the C
+library's pow through the controller's err_est ** -0.2, and the bracket form
+on the BLAS build.  The spectrum is byte-identical only on one LAPACK build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +76,10 @@ TRACE_POWERS = (2, 4)
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
+
+# A fixed-step run above this many steps is refused up front: at n = 8 it
+# would take about an hour of direct stepping.
+_MAX_RK4_STEPS = 10**8
 
 # A step below this fraction of the requested span means the problem has
 # effectively stalled.
@@ -137,6 +147,9 @@ class IntegratorConfig:
             raise ValueError("need t1 > t0")
         if not (self.h0 > 0.0):
             raise ValueError("need h0 > 0")
+        steps = (self.t1 - self.t0) / self.h0
+        if self.method == "rk4" and not (steps <= _MAX_RK4_STEPS):
+            raise ValueError(f"rk4 would take {steps:.3g} steps; the limit is {_MAX_RK4_STEPS:.0e}")
         if not (self.tol_abs > 0.0 and self.tol_rel > 0.0):
             raise ValueError("tolerances must be positive")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
@@ -217,68 +230,50 @@ def rk4_step(field, s: LatticeState, h: float) -> LatticeState:
     return LatticeState(u_new)
 
 
-# Dormand-Prince 5(4) tableau.  The first row of b is the fifth-order
-# solution (equal to the seventh stage row of a), the e row is b minus the
-# embedded fourth-order weights and multiplies into the error estimate.
-_DP_C = (1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A21 = 1.0 / 5.0
-_DP_A31, _DP_A32 = 3.0 / 40.0, 9.0 / 40.0
-_DP_A41, _DP_A42, _DP_A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_DP_A51, _DP_A52, _DP_A53, _DP_A54 = (
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
+# Dormand-Prince 5(4) tableau, one row per stage combination.  Rows 1-5
+# (a2..a6) build the states of stages 2-6 from k1..k_{i-1}; row 6 (b) is the
+# fifth-order solution, equal to the seventh stage row of a, so k7 = f(u5);
+# row 7 (e) is b minus the embedded fourth-order weights and multiplies into
+# the error estimate.  k2 carries a zero weight in b and e, so every row
+# starts at k1 and covers a prefix of the stages.
+_DP_ROWS = (
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+    (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+     22.0 / 525.0, -1.0 / 40.0),
 )
-_DP_A61, _DP_A62, _DP_A63, _DP_A64, _DP_A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_DP_B1, _DP_B3, _DP_B4, _DP_B5, _DP_B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-_DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+
+
+# Each tableau row as a read-only C-ordered (s, n) block, so a stage
+# combination is one equal-shape multiply against the first s stages.  One
+# run uses one n; the bound only caps a long-lived process.
+@functools.lru_cache(maxsize=16)
+def _dp_blocks(n: int) -> tuple:
+    blocks = tuple(np.repeat(np.array(row)[:, None], n, axis=1) for row in _DP_ROWS)
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def _dopri_raw(f, u, h, k1=None):
     # One attempt from u with step h.  k1 = f(u) may be passed in; the last
     # stage k7 = f(u5) is returned so the caller can reuse it as the next
-    # step's k1 (first same as last).
-    if k1 is None:
-        k1 = f(u)
-    k2 = f(u + h * (_DP_A21 * k1))
-    k3 = f(u + h * (_DP_A31 * k1 + _DP_A32 * k2))
-    k4 = f(u + h * (_DP_A41 * k1 + _DP_A42 * k2 + _DP_A43 * k3))
-    k5 = f(u + h * (_DP_A51 * k1 + _DP_A52 * k2 + _DP_A53 * k3 + _DP_A54 * k4))
-    k6 = f(
-        u
-        + h * (_DP_A61 * k1 + _DP_A62 * k2 + _DP_A63 * k3 + _DP_A64 * k4 + _DP_A65 * k5)
-    )
-    u5 = u + h * (_DP_B1 * k1 + _DP_B3 * k3 + _DP_B4 * k4 + _DP_B5 * k5 + _DP_B6 * k6)
-    k7 = f(u5)
-    err = h * (
-        _DP_E1 * k1
-        + _DP_E3 * k3
-        + _DP_E4 * k4
-        + _DP_E5 * k5
-        + _DP_E6 * k6
-        + _DP_E7 * k7
-    )
-    return u5, err, k7
+    # step's k1 (first same as last).  np.add.reduce over axis 0 adds the
+    # rows of a C-ordered block in index order, the order of the written-out
+    # sum w1 k1 + w2 k2 + ... (tests/test_integrate.py pins this and the bits).
+    blocks = _dp_blocks(u.size)
+    ks = np.empty((7, u.size))
+    ks[0] = f(u) if k1 is None else k1
+    for s in range(1, 6):
+        ks[s] = f(u + h * np.add.reduce(blocks[s - 1] * ks[:s], 0))
+    u5 = u + h * np.add.reduce(blocks[5] * ks[:6], 0)
+    ks[6] = f(u5)
+    err = h * np.add.reduce(blocks[6] * ks, 0)
+    return u5, err, ks[6]
 
 
 def _controller_factor(err_est: float) -> float:
@@ -406,6 +401,8 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     else:
         h = min(config.h0, span)
         k1 = field(u)
+        tol_abs = np.full(u.size, config.tol_abs)
+        tol_rel = np.full(u.size, config.tol_rel)
         while config.t1 - t > eps_t:
             if h < _UNDERFLOW_FRACTION * span:
                 raise StepUnderflowError(
@@ -423,7 +420,7 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 rejected += 1
                 h = 0.5 * h_try
                 continue
-            scale = config.tol_abs + config.tol_rel * np.abs(u)
+            scale = tol_abs + tol_rel * np.abs(u)
             err_est = float((np.abs(err_vec) / scale).max())
             # One min and one max decide both "finite" and "positive"; NaN
             # propagates through both and fails every comparison.

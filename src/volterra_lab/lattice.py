@@ -132,7 +132,8 @@ def state_from_lax(L: LaxMatrix) -> LatticeState:
 
 def _volterra_raw(u: np.ndarray) -> np.ndarray:
     # Raw-array right-hand side, also used by the integrator's fast path.
-    padded = np.concatenate(((0.0,), u, (0.0,)))
+    padded = np.zeros(len(u) + 2)
+    padded[1:-1] = u
     return u * (padded[2:] - padded[:-2])
 
 

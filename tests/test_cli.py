@@ -307,18 +307,37 @@ def test_overflow_exits_3_without_numpy_warnings(tmp_path):
 
 
 def test_step_that_does_not_advance_t_exits_3(tmp_path):
-    # 1 + 1e-300 == 1, so the fixed-step loop would repeat one step forever
+    # 1 + 1e-16 == 1, so the fixed-step loop would repeat one step forever;
+    # the run's 5e7 steps are within the rk4 step limit
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "volterra_lab.cli", "simulate", "--u0", "1,2",
-         "--method", "rk4", "--h0", "1e-300", "--t0", "1", "--t1", "2",
+         "--method", "rk4", "--h0", "1e-16", "--t0", "1", "--t1", "1.000000005",
          "--out", str(tmp_path / "x.csv")],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == cli.EXIT_INTEGRATION
+    assert "does not advance" in proc.stderr
     assert proc.stderr.startswith("integration failure")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_unbounded_rk4_run_exits_2_at_once(tmp_path):
+    # 1e300 fixed steps would never finish; the step count is refused before
+    # any stepping
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "volterra_lab.cli", "simulate", "--seed", "1", "--n", "3",
+         "--h0", "1e-300", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("configuration error: rk4 would take 1e+300 steps")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,13 @@ def test_config_validation():
         itg.IntegratorConfig(tol_abs=0.0)
     with pytest.raises(ValueError):
         itg.IntegratorConfig(record_every=0)
+    # rk4's step count is known up front and bounded; adaptive45 is not
+    itg.IntegratorConfig(method="rk4", t1=1.0, h0=1.0 / itg._MAX_RK4_STEPS)
+    with pytest.raises(ValueError, match="rk4 would take"):
+        itg.IntegratorConfig(method="rk4", t1=1.0, h0=0.5 / itg._MAX_RK4_STEPS)
+    with pytest.raises(ValueError, match="rk4 would take"):
+        itg.IntegratorConfig(method="rk4", t0=-1e308, t1=1e308)
+    itg.IntegratorConfig(method="adaptive45", h0=1e-300)
 
 
 def test_rk4_step_fixed_point_is_exact():
@@ -280,24 +287,77 @@ def test_integrate_matches_fresh_first_stage_bit_for_bit(form, method):
 def test_nonfinite_attempt_is_rejected_with_the_shrink_factor(monkeypatch):
     # a non-finite stage poisons u5 and the error estimate; the loop rejects
     # the attempt, shrinks h by _SHRINK_MIN and otherwise carries on as a
-    # clean run started from that step
+    # clean run started from that step.  RHS call 2 is k2 of the first
+    # attempt, which b and e weight by zero (0 * inf is nan), call 3 is k3.
     raw = itg._volterra_raw
-    calls = []
-
-    def poisoned(u):
-        calls.append(1)
-        return np.full_like(u, np.inf) if len(calls) == 3 else raw(u)
-
     base = dict(method="adaptive45", t1=3.0, tol_abs=1e-8, tol_rel=1e-8)
     s0 = _state(0.3, 2.0, 5.0, 0.7)
     clean = itg.integrate(itg.IntegratorConfig(h0=itg._SHRINK_MIN * 0.1, **base), s0)
-    monkeypatch.setattr(itg, "_volterra_raw", poisoned)
-    rec = itg.integrate(itg.IntegratorConfig(h0=0.1, **base), s0)
-    assert rec.rejected_steps == clean.rejected_steps + 1
-    assert rec.accepted_steps == clean.accepted_steps
-    assert np.array_equal(rec.times, clean.times)
-    assert np.array_equal(rec.states, clean.states)
-    assert len(calls) == 6 * (rec.accepted_steps + rec.rejected_steps) + 1
+    for bad_call in (2, 3):
+        calls = []
+
+        def poisoned(u):
+            calls.append(1)
+            return np.full_like(u, np.inf) if len(calls) == bad_call else raw(u)
+
+        monkeypatch.setattr(itg, "_volterra_raw", poisoned)
+        rec = itg.integrate(itg.IntegratorConfig(h0=0.1, **base), s0)
+        assert rec.rejected_steps == clean.rejected_steps + 1
+        assert rec.accepted_steps == clean.accepted_steps
+        assert np.array_equal(rec.times, clean.times)
+        assert np.array_equal(rec.states, clean.states)
+        assert len(calls) == 6 * (rec.accepted_steps + rec.rejected_steps) + 1
+
+
+# One attempt from (0.3, 2.0, 5.0, 0.7) with h = 0.1, recorded as float.hex
+# with the written-out stage sums the stacked kernel replaced.  Both fields
+# use only elementwise IEEE operations and sqrt, so the bits do not depend on
+# the BLAS build.
+_PINNED_ATTEMPT = {
+    "direct": (
+        ("0x1.8af82c0eb7176p-2", "0x1.87b780834ef91p+1",
+         "0x1.0726ac8179202p+2", "0x1.c4e107bf3f1e4p-2"),
+        ("0x1.9bcc6fc3ccccdp-26", "0x1.f26e57fd56667p-17",
+         "-0x1.468b852678667p-16", "0x1.33b5982f72000p-18"),
+        ("0x1.2e2e147c5283bp+0", "0x1.6ce2efa9d6760p+3",
+         "-0x1.5877bf084522fp+3", "-0x1.d1879988dd1c1p+0"),
+    ),
+    "lax": (
+        ("0x1.8af82c0eb7177p-2", "0x1.87b780834ef93p+1",
+         "0x1.0726ac8179201p+2", "0x1.c4e107bf3f1e3p-2"),
+        ("0x1.9bcc6fc51999ap-26", "0x1.f26e57fd6199ap-17",
+         "-0x1.468b85267cccdp-16", "0x1.33b5982f70000p-18"),
+        ("0x1.2e2e147c5283dp+0", "0x1.6ce2efa9d6760p+3",
+         "-0x1.5877bf0845230p+3", "-0x1.d1879988dd1bdp+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_PINNED_ATTEMPT))
+def test_dormand_prince_attempt_bits_are_pinned(form):
+    field = itg._raw_field(itg.IntegratorConfig(method="adaptive45", form=form))
+    got = itg._dopri_raw(field, np.array([0.3, 2.0, 5.0, 0.7]), 0.1)
+    for name, vec, want in zip(("u5", "err", "k7"), got, _PINNED_ATTEMPT[form]):
+        assert tuple(float(x).hex() for x in vec) == want, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 128])
+def test_stacked_stage_sums_keep_the_written_out_order(n):
+    # The kernel relies on np.add.reduce over axis 0 of a C-ordered (s, n)
+    # block adding its rows in index order; a numpy that reorders outer-axis
+    # reductions would change the integrator's output bits.
+    gen = np.random.default_rng(n)
+    blocks = itg._dp_blocks(n)
+    assert [b.shape for b in blocks] == [(s, n) for s in range(1, 8)]
+    for _ in range(20):
+        ks = gen.standard_normal((7, n)) * 10.0 ** gen.integers(-8, 9, (7, n))
+        for s, block in enumerate(blocks, 1):
+            assert not block.flags.writeable
+            want = block[0] * ks[0]
+            for j in range(1, s):
+                want = want + block[j] * ks[j]
+            got = np.add.reduce(block * ks[:s], 0)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, n)
 
 
 def test_step_underflow_from_hopeless_tolerance(monkeypatch):
