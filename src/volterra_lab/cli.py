@@ -4,7 +4,9 @@ Four commands: ``simulate`` integrates and writes a trajectory file,
 ``spectrum`` prints eigenvalue drift over a run and the gap to a dense
 eigensolve at its endpoints, ``verify`` runs the named identity battery,
 and ``gradient-check`` compares finite differences of the objective against
-the closed-form directional derivative.
+the closed-form directional derivative.  Only ``verify`` and
+``gradient-check`` import the battery module (and with it the process pool),
+so a ``simulate`` or ``spectrum`` start does not pay for loading it.
 
 Runs are configured by a flat key=value file (``#`` starts a comment) with
 every key also available as a flag; flags win.  On one machine the t, u and
@@ -14,21 +16,22 @@ forms; adaptive45 runs also depend on the C library's pow (the controller's
 err ** -0.2), the bracket form on the BLAS build.  The eigenvalue columns
 come from LAPACK and are byte-identical only on one numpy/LAPACK build.
 
-Exit codes: 0 success, 2 configuration error, 3 integration failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (including a config file that
+cannot be read or decoded, and an ``--out`` that cannot be written, which is
+refused before any stepping), 3 integration failure, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import geometry, lattice, rng, verify
+from . import geometry, lattice, rng
 from .core import commutator, symmetric_eigen
 from .integrate import (
     IntegrationError,
@@ -143,7 +146,7 @@ def read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -222,6 +225,8 @@ def write_csv(path: str, record: TrajectoryRecord, spectra: bool):
 
 
 def write_jsonl(path: str, record: TrajectoryRecord, spectra: bool):
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i in range(record.n_samples):
             obj = {
@@ -236,13 +241,19 @@ def write_jsonl(path: str, record: TrajectoryRecord, spectra: bool):
 
 def cmd_simulate(cfg: RunConfig, out_stream=None) -> int:
     out_stream = sys.stdout if out_stream is None else out_stream
-    if cfg.out is None:
+    if not cfg.out:
         raise ConfigError("simulate needs an output path (--out)")
+    # Refuse an unwritable path before stepping; the file itself is only
+    # created once the integration has succeeded.
+    folder = os.path.dirname(cfg.out) or "."
+    if os.path.isdir(cfg.out) or not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {cfg.out}: not a file in an existing directory")
     record = integrate(cfg.integrator_config(), cfg.initial_state())
-    if cfg.format == "csv":
-        write_csv(cfg.out, record, cfg.spectra)
-    else:
-        write_jsonl(cfg.out, record, cfg.spectra)
+    writer = write_csv if cfg.format == "csv" else write_jsonl
+    try:
+        writer(cfg.out, record, cfg.spectra)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     summary = invariant_report(record)
     print(format_invariant_summary(summary, record), file=out_stream)
     print(f"wrote {record.n_samples} samples to {cfg.out}", file=out_stream)
@@ -279,6 +290,8 @@ def cmd_spectrum(cfg: RunConfig, out_stream=None) -> int:
 
 
 def cmd_verify(n_list, trials: int, seed: int, jobs: int = 1, out_stream=None) -> int:
+    from . import verify
+
     out_stream = sys.stdout if out_stream is None else out_stream
     report = verify.run_verification(n_list, trials, seed, jobs)
     name_w = max(len(c.name) for c in report.checks)
@@ -310,6 +323,8 @@ def cmd_gradient_check(
         raise ConfigError("eps values must lie in (0, 1e-2]")
     if n < 1 or trials < 1:
         raise ConfigError("need n >= 1 and trials >= 1")
+    from . import verify
+
     slopes = []
     pairing_worst = 0.0
     print(

@@ -30,6 +30,7 @@ __all__ = [
     "check_field_equivalence",
     "check_sign_calibration",
     "check_isospectral_drift",
+    "check_trajectory_accuracy",
     "run_verification",
 ]
 
@@ -45,6 +46,7 @@ THRESHOLD_EQUIVALENCE = 1e-12
 THRESHOLD_CALIBRATION = 1e-10
 THRESHOLD_EIG_DRIFT = 1e-8
 THRESHOLD_TRACE_DRIFT = 1e-9
+THRESHOLD_TRAJECTORY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,23 @@ def _trial_equivalence(seed: int, n: int, trial: int):
         out = lattice.pushforward_rhs(s, form, lattice.CALIBRATED_SIGN)
         worst = max(worst, float(np.abs(out - reference).max()) / scale)
     return worst, 0
+
+
+def _trial_trajectory(seed: int, n: int, trial: int):
+    # The N = 2 lattice has a closed form: c = u1 + u2 is conserved and the
+    # ratio u2/u1 decays as exp(-c t).
+    s, _ = _draw_state(seed, 9, n, trial)
+    t1 = 1.0
+    config = IntegratorConfig(
+        method="adaptive45", form="direct", t0=0.0, t1=t1, h0=1e-3,
+        tol_abs=1e-10, tol_rel=1e-10,
+    )
+    u = integrate(config, s).states[-1]
+    u1, u2 = s.u
+    c = u1 + u2
+    q = (u2 / u1) * np.exp(-c * t1)
+    exact = np.array([c / (1.0 + q), c * q / (1.0 + q)])
+    return float((np.abs(u - exact) / (1.0 + np.abs(exact))).max()), 0
 
 
 def _run_one(task):
@@ -275,6 +294,17 @@ def check_isospectral_drift(n_list, seed: int) -> CheckResult:
     )
 
 
+def check_trajectory_accuracy(trials: int, seed: int, jobs: int = 1) -> CheckResult:
+    """DP45 at tolerance 1e-10 lands on the exact N = 2 solution at t = 1.
+
+    Drift checks are nearly blind to wrong Runge-Kutta weights, since any
+    weights conserve the linear invariant tr L^2; this one compares the
+    trajectory with an independent closed form.
+    """
+    return _sweep(_trial_trajectory, "trajectory-accuracy", THRESHOLD_TRAJECTORY,
+                  "DP45 vs the N = 2 closed form at t = 1, relative", (2,), trials, seed, jobs)
+
+
 def run_verification(n_list, trials: int, seed: int, jobs: int = 1) -> VerifyReport:
     """Run the full battery and assemble the report."""
     n_list = tuple(int(n) for n in n_list)
@@ -290,6 +320,7 @@ def run_verification(n_list, trials: int, seed: int, jobs: int = 1) -> VerifyRep
         check_gradient_defining(n_list, min(trials, 5), seed, jobs),
         check_field_equivalence(n_list, trials, seed, jobs),
         _sign_calibration(seed, cal),
+        check_trajectory_accuracy(trials, seed, jobs),
         check_isospectral_drift(n_list, seed),
     )
     return VerifyReport(checks=checks, sigma=cal.sigma, discrepancy=dict(cal.discrepancy))

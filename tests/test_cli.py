@@ -165,6 +165,45 @@ def test_config_file_missing(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+def test_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"u0 = 1,1\n# \xff\xfe\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read config file")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-folder", "directory"])
+def test_unwritable_output_is_refused_before_stepping(monkeypatch, tmp_path, capsys, where):
+    def never(*args, **kwargs):
+        raise AssertionError("integrate ran for an unwritable output path")
+
+    monkeypatch.setattr(cli, "integrate", never)
+    out = tmp_path / "none" / "x.csv" if where == "missing-folder" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["simulate", "--seed", "1", "--n", "3", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out}")
+    assert len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_writer_failure_is_a_config_error(monkeypatch, tmp_path, capsys, fmt):
+    def full(path, record, spectra):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, f"write_{fmt}", full)
+    out = tmp_path / "x.out"
+    rc = cli.main(["simulate", "--u0", "1,2", "--t1", "0.01", "--format", fmt, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: cannot write {out}: [Errno 28] No space left on device\n"
+
+
 def test_initial_condition_must_be_exactly_one(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert cli.main(["simulate", "--u0", "1,1", "--seed", "3", "--out", out]) == cli.EXIT_CONFIG
@@ -238,6 +277,7 @@ def test_verify_command_passes(capsys):
         "gradient-defining-equation",
         "field-equivalence",
         "sign-calibration",
+        "trajectory-accuracy",
         "isospectral-drift",
     ):
         assert name in out
@@ -382,3 +422,29 @@ def test_gradient_check_without_a_workable_spectrum_exits_4(monkeypatch, capsys)
     assert capsys.readouterr().err == (
         "verification failure: no workable spectrum in 50 draws (n = 3, trial = 0)\n"
     )
+
+
+def test_simulate_start_does_not_load_the_battery(tmp_path):
+    # simulate and spectrum never import verify, its process pool, or the
+    # pool's import chain; verify loads them on demand
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = f"""
+import sys
+import volterra_lab.cli as cli
+heavy = ("volterra_lab.verify", "concurrent.futures", "multiprocessing")
+assert cli.main(["simulate", "--seed", "1", "--n", "3", "--t1", "0.01",
+                 "--format", "jsonl", "--out", {str(tmp_path / "x.jsonl")!r}]) == 0
+assert cli.main(["spectrum", "--u0", "1,2", "--t1", "0.01"]) == 0
+print("loaded after simulate:", [m for m in heavy if m in sys.modules])
+assert cli.main(["verify", "--n-list", "1", "--trials", "1"]) == 0
+print("loaded after verify:", [m for m in heavy if m in sys.modules])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "loaded after simulate: []" in proc.stdout
+    assert "loaded after verify: ['volterra_lab.verify', 'concurrent.futures', 'multiprocessing']" in proc.stdout
+    assert "overall: PASS" in proc.stdout

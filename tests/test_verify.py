@@ -7,9 +7,9 @@ def test_small_battery_passes():
     report = verify.run_verification((1, 2, 3), trials=3, seed=1)
     assert report.passed
     assert report.sigma == -1
-    assert len(report.checks) == 7
+    assert len(report.checks) == 8
     names = [c.name for c in report.checks]
-    assert len(set(names)) == 7
+    assert len(set(names)) == 8
     for check in report.checks:
         assert check.residual <= check.threshold
         assert check.trials >= 1
@@ -107,3 +107,26 @@ def test_process_pool_matches_serial_sweep():
     # 33 tasks are 3 chunks, so a two-CPU host runs this sweep on 2 workers
     serial = verify.check_chain_equality((1, 2, 3), trials=11, seed=4)
     assert verify.check_chain_equality((1, 2, 3), trials=11, seed=4, jobs=2) == serial
+
+
+def test_trajectory_accuracy_against_the_two_site_closed_form():
+    check = verify.check_trajectory_accuracy(trials=4, seed=3)
+    assert check.name == "trajectory-accuracy"
+    assert check.passed
+    assert check.trials == 4
+    assert check.residual <= verify.THRESHOLD_TRAJECTORY
+    assert verify.check_trajectory_accuracy(trials=4, seed=3, jobs=2) == check
+
+
+def test_trajectory_accuracy_fails_an_endpoint_off_by_1e_7(monkeypatch):
+    real = verify.integrate
+
+    def skewed(config, s0):
+        record = real(config, s0)
+        record.states[-1] *= 1.0 + 1e-7
+        return record
+
+    monkeypatch.setattr(verify, "integrate", skewed)
+    check = verify.check_trajectory_accuracy(trials=2, seed=1)
+    assert not check.passed
+    assert check.residual > verify.THRESHOLD_TRAJECTORY
