@@ -11,14 +11,17 @@ so a ``simulate`` or ``spectrum`` start does not pay for loading it.
 Runs are configured by a flat key=value file (``#`` starts a comment) with
 every key also available as a flag; flags win.  On one machine the t, u and
 f columns are a byte-deterministic function of the configuration and seed.
-Across machines they stay byte-identical for rk4 runs of the direct and lax
-forms; adaptive45 runs also depend on the C library's pow (the controller's
-err ** -0.2), the bracket form on the BLAS build.  The eigenvalue columns
-come from LAPACK and are byte-identical only on one numpy/LAPACK build.
+Across machines they stay byte-identical for rk4 runs of every form: no
+field makes a BLAS call, and the bracket's one BLAS dot product sets only
+its tangency tolerance.  adaptive45 runs also depend on the C library's pow
+(the controller's err ** -0.2).  The eigenvalue columns come from LAPACK,
+and the residuals of ``spectrum``, ``verify`` and ``gradient-check`` from
+dense BLAS and LAPACK work; they are byte-identical only on one numpy build.
 
 Exit codes: 0 success, 2 configuration error (including a config file that
 cannot be read or decoded, and an ``--out`` that cannot be written, which is
-refused before any stepping), 3 integration failure, 4 verification failure.
+refused before any stepping), 3 integration failure (including an adaptive45
+run that reaches 1e8 attempts), 4 verification failure.
 """
 
 from __future__ import annotations

@@ -21,10 +21,11 @@ objective f = sum (2n+1) u_n / 4, the Lax spectrum from a batched bidiagonal
 SVD, and tr L^k for k = 2, 4 in closed form (tr L^3 is identically 0); the
 spectrum and traces are conserved by the exact flow and serve as accuracy
 meters for the discrete one.  On one machine t, u and f are byte-deterministic
-and f makes no BLAS call.  Across machines rk4 runs of the direct and lax
-forms use only IEEE arithmetic and sqrt; adaptive runs also depend on the C
-library's pow through the controller's err_est ** -0.2, and the bracket form
-on the BLAS build.  The spectrum is byte-identical only on one LAPACK build.
+and neither the fields nor f make a BLAS call.  Across machines rk4 runs of
+every form use only IEEE arithmetic and sqrt (the bracket's one BLAS dot
+product sets only the tolerance of its tangency check); adaptive runs also
+depend on the C library's pow through the controller's err_est ** -0.2.  The
+spectrum is byte-identical only on one LAPACK build.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .lattice import (  # noqa: F401
     _check_sign,
     _lax_spectra,
     _require_finite_positive,
+    _state_view,
     _volterra_raw,
     lax_from_state,
     objective_f,
@@ -59,6 +61,7 @@ __all__ = [
     "PositivityAbortError",
     "PropagationError",
     "StepAttempt",
+    "StepBudgetError",
     "StepUnderflowError",
     "TRACE_POWERS",
     "TrajectoryRecord",
@@ -81,6 +84,10 @@ _GROW_MAX = 5.0
 # would take about an hour of direct stepping.
 _MAX_RK4_STEPS = 10**8
 
+# An adaptive run's step count is not known up front, so the loop stops
+# after this many attempts, accepted and rejected together.
+_MAX_DP45_ATTEMPTS = 10**8
+
 # A step below this fraction of the requested span means the problem has
 # effectively stalled.
 _UNDERFLOW_FRACTION = 1e-14
@@ -100,6 +107,10 @@ class IntegrationError(RuntimeError):
 class StepUnderflowError(IntegrationError):
     """Step control drove h below the resolvable fraction of the span, or a
     step was too small to advance t."""
+
+
+class StepBudgetError(IntegrationError):
+    """The adaptive loop used up its attempt budget before reaching t1."""
 
 
 class PositivityAbortError(IntegrationError):
@@ -315,12 +326,14 @@ def _raw_field(config: IntegratorConfig):
     if config.form == "direct":
         return _volterra_raw
 
+    # Each stage array is checked once, here, and then wrapped without a
+    # copy; LatticeState(u) would check it a second time.
     def field(u):
         try:
-            s = LatticeState(u)
+            _require_finite_positive(u, "site variables")
         except ValueError as exc:
             raise _StageDomainError(str(exc)) from exc
-        return pushforward_rhs(s, config.form, config.sigma)
+        return pushforward_rhs(_state_view(u), config.form, config.sigma)
 
     return field
 
@@ -404,6 +417,11 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
         tol_abs = np.full(u.size, config.tol_abs)
         tol_rel = np.full(u.size, config.tol_rel)
         while config.t1 - t > eps_t:
+            if accepted + rejected >= _MAX_DP45_ATTEMPTS:
+                raise StepBudgetError(
+                    f"adaptive45 stopped at t = {t:.6g} after {accepted + rejected} "
+                    f"attempts; the limit is {_MAX_DP45_ATTEMPTS:.0e}"
+                )
             if h < _UNDERFLOW_FRACTION * span:
                 raise StepUnderflowError(
                     f"step size {h:.3g} underflowed at t = {t:.6g}; "

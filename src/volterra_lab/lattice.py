@@ -7,12 +7,12 @@ where the same motion appears two more ways: as a Lax commutator flow and as
 a double-bracket flow driven by the trace objective f(L) = <K, L^2> with
 K = diag(1, 2, 3, ...) / 4.  This module builds all three right-hand sides
 and the pushforward that carries the matrix forms back to u-space.  The
-matrix forms share one kernel: the public builders and ``pushforward_rhs``
-call the same private functions of the couplings c, so the pushforward is
-bit for bit the superdiagonal of the public fields.  The dense [L, A] of
-``lax_rhs`` stays as the reference object; the pushforward reads its
-superdiagonal by an O(N) formula that gives the same bits, because each
-entry there is a single product in both L A and A L.
+dense [L, A] of ``lax_rhs`` and [L, [L^2, K]] of ``double_bracket_field``
+stay as the reference objects; the pushforward reads their superdiagonals
+by O(N) formulas that give the same bits, because for diagonal K every
+nonzero entry of the dense products there is a single product.  The bracket
+pushforward keeps the tangency check of the dense field, on the only
+entries where it can fail.
 
 Orientation of the commutator forms relative to the direct equations is an
 empirical constant of the construction, fixed once by ``calibrate_sign`` and
@@ -22,6 +22,7 @@ recorded as CALIBRATED_SIGN.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -93,6 +94,16 @@ class LatticeState:
     @property
     def n(self) -> int:
         return self.u.size
+
+
+def _state_view(u: np.ndarray) -> LatticeState:
+    # A LatticeState over a read-only view of u, for a float vector the
+    # caller has already checked: no copy and no second validation.
+    view = u.view()
+    view.flags.writeable = False
+    s = object.__new__(LatticeState)
+    object.__setattr__(s, "u", view)
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +209,15 @@ def _lax_commutator(c: np.ndarray) -> np.ndarray:
     return dense @ a - a @ dense
 
 
-def _lax_superdiagonal(c: np.ndarray) -> np.ndarray:
-    # First superdiagonal of [L, A] in O(N).  There each entry of L A and of
-    # A L has exactly one nonzero product, c_{i-1} A_{i-1,i+1} and
-    # A_{i,i+2} c_{i+1}; the dense products only add exact zeros to it, so
-    # this is bit for bit _lax_commutator(c).diagonal(1).
-    prod = _generator_entries(c)
+def _commutator_superdiagonal(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # First superdiagonal of [L, X] in O(N), for X with x on its second
+    # superdiagonal, -x on its second subdiagonal and zeros elsewhere.  There
+    # each entry of L X and of X L has exactly one nonzero product,
+    # c_{i-1} x_{i-1} and x_i c_{i+1}; the dense products only add exact
+    # zeros to it, so this has the bits of the dense commutator.
     sup = np.zeros(c.size)
-    sup[1:] = c[:-1] * prod
-    sup[:-1] -= prod * c[1:]
+    sup[1:] = c[:-1] * x
+    sup[:-1] -= x * c[1:]
     return sup
 
 
@@ -235,6 +246,19 @@ def _lax_spectra(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tangency_check(asym: float, off_band: float, norm: float) -> None:
+    # tol = TANGENCY_RTOL ||L||_F^3 as Python float products, which overflow
+    # to inf; ** 3 would raise OverflowError.  Beyond ||L||_F ~ 5e102 the
+    # check therefore passes, and a field that overflowed as well is left
+    # to the callers' checks for non-finite values.
+    tol = TANGENCY_RTOL * norm * norm * norm
+    if asym > tol or off_band > tol:
+        raise InternalConsistencyError(
+            f"double-bracket direction left the tridiagonal tangent space: "
+            f"asymmetry {asym:.3g}, off-band {off_band:.3g}, tolerance {tol:.3g}"
+        )
+
+
 def _bracket_field(c: np.ndarray) -> np.ndarray:
     # [L, [L^2, K]] with the tangency check of double_bracket_field.
     n1 = c.size + 1
@@ -243,15 +267,39 @@ def _bracket_field(c: np.ndarray) -> np.ndarray:
     sq = dense @ dense
     inner = sq @ k - k @ sq
     field = dense @ inner - inner @ dense
-    tol = TANGENCY_RTOL * _frobenius_norm(dense) ** 3
-    asym = float(np.abs(field - field.T).max())
-    off_band = float(np.abs(field[_off_band(n1)]).max())
-    if asym > tol or off_band > tol:
-        raise InternalConsistencyError(
-            f"double-bracket direction left the tridiagonal tangent space: "
-            f"asymmetry {asym:.3g}, off-band {off_band:.3g}, tolerance {tol:.3g}"
-        )
+    _tangency_check(
+        float(np.abs(field - field.T).max()),
+        float(np.abs(field[_off_band(n1)]).max()),
+        _frobenius_norm(dense),
+    )
     return field
+
+
+def _bracket_superdiagonal(c: np.ndarray) -> np.ndarray:
+    # Bit for bit _bracket_field(c).diagonal(1), with the same tangency
+    # check, in O(N).  For diagonal K each nonzero entry of the dense L^2 K
+    # and K L^2 is a single product, so [L^2, K] has the shape of A, with
+    # w_i = p_i k_{i+2} - k_i p_i where p_i = (L^2)_{i,i+2} = c_i c_{i+1},
+    # and an exactly zero diagonal.  The field [L, [L^2, K]] is then exactly
+    # symmetric, and its only entries off the first off-diagonals are
+    # c_i w_{i+1} - w_i c_{i+2} on the third, which the check compares.
+    n1 = c.size + 1
+    k = build_K(n1)
+    kd = k.diagonal()
+    if k is not _weight_matrix(n1) and np.count_nonzero(k) != np.count_nonzero(kd):
+        raise InternalConsistencyError(
+            "double-bracket direction left the tridiagonal tangent space: "
+            "the weight matrix K is not diagonal"
+        )
+    p = c[:-1] * c[1:]
+    w = p * kd[2:] - kd[:-2] * p
+    third = c[:-2] * w[1:] - w[:-1] * c[2:]
+    _tangency_check(
+        0.0,
+        float(np.abs(third).max(initial=0.0)),
+        math.sqrt(2.0 * float(c.dot(c))),
+    )
+    return _commutator_superdiagonal(c, w)
 
 
 def build_A(s: LatticeState) -> np.ndarray:
@@ -308,18 +356,20 @@ def pushforward_rhs(s: LatticeState, form: str, sigma: int = CALIBRATED_SIGN) ->
     The matrix forms advance the couplings, du_i = 2 c_i dc_i with dc_i read
     off the first superdiagonal of the matrix field, so all forms report the
     motion in the same coordinates.  Multiplying by sigma is exact, so it is
-    folded into the factor 2 rather than applied to the field.  The Lax
-    superdiagonal is computed in O(N) and equals that of ``lax_rhs`` bit for
-    bit; the double bracket is formed densely, with its tangency check.
+    folded into the factor 2 rather than applied to the field.  Both
+    superdiagonals are computed in O(N) and equal those of ``lax_rhs`` and
+    ``double_bracket_field`` bit for bit; the bracket form raises
+    InternalConsistencyError where the dense field's tangency check would,
+    and also for a weight matrix that is not diagonal.
     """
     if form == "direct":
         return _volterra_raw(s.u)
     sigma = _check_sign(sigma)
     c = np.sqrt(s.u)
     if form == "lax":
-        sup = _lax_superdiagonal(c)
+        sup = _commutator_superdiagonal(c, _generator_entries(c))
     elif form == "bracket":
-        sup = _bracket_field(c).diagonal(1)
+        sup = _bracket_superdiagonal(c)
     else:
         raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
     # (2 sigma c) sup has the bits of (2 c)(sigma sup): scaling by 2 and by

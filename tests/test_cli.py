@@ -380,6 +380,35 @@ def test_unbounded_rk4_run_exits_2_at_once(tmp_path):
     assert not out.exists()
 
 
+def test_adaptive_run_past_the_attempt_budget_exits_3(monkeypatch, tmp_path, capsys):
+    # t1 = 1e7 takes millions of DP45 attempts at h near its stability
+    # limit; the budget stops it with one line and no file
+    monkeypatch.setattr(itg_module, "_MAX_DP45_ATTEMPTS", 200)
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--n", "8", "--seed", "1", "--t1", "1e7", "--method", "adaptive45",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert err.startswith("integration failure: adaptive45 stopped at t = ")
+    assert err.endswith("after 200 attempts; the limit is 2e+02\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["direct", "lax", "bracket"])
+def test_overflowing_state_exits_3_in_every_form(tmp_path, capsys, form):
+    # ||L||_F^3 overflows here; the bracket's tangency tolerance used to
+    # raise OverflowError instead of letting the loop reject the step
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--u0", "1e206,1e206", "--form", form, "--method", "adaptive45",
+            "--t1", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert err.startswith("integration failure: step size")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "error", [lattice.InternalConsistencyError("identity broke"), np.linalg.LinAlgError("no convergence")]
 )

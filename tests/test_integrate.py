@@ -330,6 +330,15 @@ _PINNED_ATTEMPT = {
         ("0x1.2e2e147c5283dp+0", "0x1.6ce2efa9d6760p+3",
          "-0x1.5877bf0845230p+3", "-0x1.d1879988dd1bdp+0"),
     ),
+    # recorded while the bracket field was still formed by dense products
+    "bracket": (
+        ("0x1.8af82c0eb7176p-2", "0x1.87b780834ef92p+1",
+         "0x1.0726ac8179202p+2", "0x1.c4e107bf3f1e5p-2"),
+        ("0x1.9bcc6fc5ccccdp-26", "0x1.f26e57fd5b334p-17",
+         "-0x1.468b85267c667p-16", "0x1.33b5982f72000p-18"),
+        ("0x1.2e2e147c5283bp+0", "0x1.6ce2efa9d6761p+3",
+         "-0x1.5877bf0845230p+3", "-0x1.d1879988dd1c2p+0"),
+    ),
 }
 
 
@@ -358,6 +367,41 @@ def test_stacked_stage_sums_keep_the_written_out_order(n):
                 want = want + block[j] * ks[j]
             got = np.add.reduce(block * ks[:s], 0)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, n)
+
+
+@pytest.mark.parametrize("form", ["lax", "bracket"])
+def test_matrix_form_stage_is_checked_once_and_wrapped_without_a_copy(monkeypatch, form):
+    seen = []
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f, sigma: seen.append(s) or s.u)
+    field = itg._raw_field(itg.IntegratorConfig(form=form))
+    u = np.array([0.5, 2.0])
+    field(u)
+    (s,) = seen
+    assert s.u.base is u and not s.u.flags.writeable and u.flags.writeable
+    # the messages are those of LatticeState, and nothing reaches the field
+    for bad in ([1.0, np.nan], [-1.0, np.inf], [1.0, 0.0], [1.0, -2.0]):
+        with pytest.raises(ValueError) as want:
+            LatticeState(np.array(bad))
+        with pytest.raises(itg._StageDomainError) as got:
+            field(np.array(bad))
+        assert str(got.value) == str(want.value)
+    assert len(seen) == 1
+
+
+def test_adaptive_attempt_budget(monkeypatch):
+    # a run that needs exactly the budget finishes with the same bits; one
+    # attempt fewer stops with StepBudgetError
+    cfg = itg.IntegratorConfig(method="adaptive45", form="bracket", t1=2.0, h0=0.5)
+    s0 = _state(10.0, 1e-6, 3.0)
+    ref = itg.integrate(cfg, s0)
+    attempts = ref.accepted_steps + ref.rejected_steps
+    assert ref.rejected_steps > 0
+    monkeypatch.setattr(itg, "_MAX_DP45_ATTEMPTS", attempts)
+    again = itg.integrate(cfg, s0)
+    assert np.array_equal(again.states, ref.states)
+    monkeypatch.setattr(itg, "_MAX_DP45_ATTEMPTS", attempts - 1)
+    with pytest.raises(itg.StepBudgetError, match=f"after {attempts - 1} attempts"):
+        itg.integrate(cfg, s0)
 
 
 def test_step_underflow_from_hopeless_tolerance(monkeypatch):

@@ -266,8 +266,8 @@ def _bits(x):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 129])
 def test_pushforward_is_the_public_field_superdiagonal(n):
     # the integrator's pushforward equals 2 c diag(M, 1) bit for bit, where
-    # M is the public dense field: the bracket shares its kernel, and the
-    # O(N) Lax superdiagonal is exact because each entry is a single product
+    # M is the public dense field: the O(N) superdiagonals are exact because
+    # each of their entries is a single product in the dense matmuls
     stream = SplitMix64(substream_seed(41, n))
     for _ in range(5):
         s = lattice.LatticeState(random_state(n, stream))
@@ -290,6 +290,67 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
             expected = 2.0 * L.c * np.diagonal(lattice.lax_rhs(L, sigma), 1)
             got = lattice.pushforward_rhs(s, "lax", sigma)
             assert np.array_equal(_bits(got), _bits(expected))
+    # the dense bracket overflows beyond about 1e70 (||L||^6 entries), so
+    # its sweep spans 120 decades
+    for _ in range(20):
+        s = lattice.LatticeState(10.0 ** rng.uniform(-60.0, 60.0, n))
+        L = lattice.lax_from_state(s)
+        for sigma in (1, -1):
+            m = sigma * lattice.double_bracket_field(L)
+            expected = 2.0 * L.c * np.diagonal(m, 1)
+            got = lattice.pushforward_rhs(s, "bracket", sigma)
+            assert np.array_equal(_bits(got), _bits(expected))
+
+
+def test_bracket_kernel_sees_what_the_dense_check_sees():
+    # the O(N) off-band entries are those of the dense field, exactly, and
+    # the dense field is exactly symmetric
+    rng = np.random.default_rng(substream_seed(44, 0))
+    for n in (3, 4, 12, 64):
+        for _ in range(10):
+            c = np.sqrt(10.0 ** rng.uniform(-30.0, 30.0, n))
+            field = lattice._bracket_field(c)
+            assert np.array_equal(field, field.T)
+            kd = np.diagonal(lattice.build_K(n + 1))
+            p = c[:-1] * c[1:]
+            w = p * kd[2:] - kd[:-2] * p
+            third = c[:-2] * w[1:] - w[:-1] * c[2:]
+            assert np.array_equal(_bits(third), _bits(field.diagonal(3)))
+            off = np.abs(field[lattice._off_band(n + 1)]).max()
+            assert off == np.abs(third).max()
+
+
+def test_uneven_diagonal_weights_fail_the_tangency_check(monkeypatch):
+    # diag(1, 2, 4, 8, ...) / 4 is diagonal, so only the third off-diagonal
+    # of the field can notice that its spacing is uneven
+    monkeypatch.setattr(lattice, "build_K", lambda n: np.diag(2.0 ** np.arange(n)) / 4.0)
+    s = lattice.LatticeState(np.array([1.0, 2.0, 3.0, 0.5]))
+    with pytest.raises(lattice.InternalConsistencyError, match="off-band"):
+        lattice.pushforward_rhs(s, "bracket", lattice.CALIBRATED_SIGN)
+    with pytest.raises(lattice.InternalConsistencyError, match="off-band"):
+        lattice.double_bracket_field(lattice.lax_from_state(s))
+
+
+@pytest.mark.parametrize("decades", [(199.0, 201.0), (205.0, 215.0), (150.0, 308.0)])
+def test_overflowing_bracket_is_non_finite_in_both_kernels(decades):
+    # where the products overflow, neither kernel raises: both return a
+    # non-finite derivative, so the integrator takes the same rejection,
+    # and where neither overflows the bits are equal
+    rng = np.random.default_rng(substream_seed(45, int(decades[0])))
+    for n in (1, 2, 3, 12):
+        for _ in range(30):
+            s = lattice.LatticeState(10.0 ** rng.uniform(*decades, n))
+            L = lattice.lax_from_state(s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = lattice.CALIBRATED_SIGN * lattice.double_bracket_field(L)
+                expected = 2.0 * L.c * np.diagonal(m, 1)
+                got = lattice.pushforward_rhs(s, "bracket")
+            assert np.isfinite(got).all() == np.isfinite(expected).all()
+            if np.isfinite(got).all():
+                assert np.array_equal(_bits(got), _bits(expected))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = lattice.pushforward_rhs(lattice.LatticeState(np.array([1e200, 1e200])), "bracket")
+    assert not np.isfinite(got).any()
 
 
 def test_tangency_check_fires_on_the_pushforward_path(monkeypatch):

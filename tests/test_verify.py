@@ -130,3 +130,14 @@ def test_trajectory_accuracy_fails_an_endpoint_off_by_1e_7(monkeypatch):
     check = verify.check_trajectory_accuracy(trials=2, seed=1)
     assert not check.passed
     assert check.residual > verify.THRESHOLD_TRAJECTORY
+
+
+def test_pushforwards_match_the_dense_public_fields_exactly():
+    # the term that runs the dense lax_rhs and double_bracket_field in the
+    # field-equivalence check is exactly 0 while the kernels share bits
+    for n in (1, 2, 3, 8, 33):
+        for trial in range(5):
+            s, _ = verify._draw_state(3, 5, n, trial)
+            for form in ("lax", "bracket"):
+                out = lattice.pushforward_rhs(s, form, lattice.CALIBRATED_SIGN)
+                assert verify._dense_gap(s, form, out) == 0.0
