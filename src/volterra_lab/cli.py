@@ -324,8 +324,10 @@ def cmd_gradient_check(
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list or not all(0.0 < e <= 1e-2 for e in eps_list):
         raise ConfigError("eps values must lie in (0, 1e-2]")
-    if n < 1 or trials < 1:
-        raise ConfigError("need n >= 1 and trials >= 1")
+    # At n = 1, L^2 = c^2 I commutes with K, so f is constant on the orbit
+    # and the fitted order of a zero derivative would mean nothing.
+    if n < 2 or trials < 1:
+        raise ConfigError("need n >= 2 and trials >= 1")
     from . import verify
 
     slopes = []
@@ -419,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradient-check",
                         help="finite-difference check of the directional derivative")
-    gc.add_argument("--n", type=int, default=6, help="number of sites")
+    gc.add_argument("--n", type=int, default=6, help="number of sites, at least 2")
     gc.add_argument("--trials", type=int, default=5, help="independent trials")
     gc.add_argument("--seed", type=int, default=1, help="trial seed")
     gc.add_argument("--eps", default="1e-3,1e-4,1e-5",

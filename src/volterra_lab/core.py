@@ -19,7 +19,6 @@ __all__ = [
     "EigenDecomposition",
     "NotSymmetricError",
     "commutator",
-    "dense_matrix",
     "expm_small",
     "frobenius_inner",
     "symmetric_eigen",
@@ -38,25 +37,12 @@ class NotSymmetricError(ValueError):
     """Input of symmetric_eigen is not symmetric to working tolerance."""
 
 
-def dense_matrix(entries) -> np.ndarray:
-    """Validate and copy a square matrix of finite float64 entries.
-
-    The returned array is marked read-only; treat matrices as values.
-    """
-    m = np.array(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    m.flags.writeable = False
-    return m
-
-
 def _all_in_open(x: np.ndarray, lo: float, hi: float) -> bool:
     # Every entry of the nonempty array x lies strictly between lo and hi.
     # Two reductions cost less than a boolean temporary and .all() on short
-    # vectors; NaN propagates through min and max and fails both comparisons.
-    return bool(lo < x.min() and x.max() < hi)
+    # vectors, and the ufunc reductions skip the x.min()/x.max() wrappers;
+    # NaN propagates through both and fails both comparisons.
+    return bool(lo < np.minimum.reduce(x, None) and np.maximum.reduce(x, None) < hi)
 
 
 def _frobenius_norm(x: np.ndarray) -> float:

@@ -38,7 +38,7 @@ import numpy as np
 
 # symmetric_eigen, trace_power, lax_from_state and objective_f are unused
 # here; the traced benchmark run wraps them on this module (ROADMAP item 1).
-from .core import _all_in_open, symmetric_eigen, trace_power  # noqa: F401
+from .core import symmetric_eigen, trace_power  # noqa: F401
 from .lattice import (  # noqa: F401
     CALIBRATED_SIGN,
     FORMS,
@@ -60,16 +60,13 @@ __all__ = [
     "InvariantSummary",
     "PositivityAbortError",
     "PropagationError",
-    "StepAttempt",
     "StepBudgetError",
     "StepUnderflowError",
     "TRACE_POWERS",
     "TrajectoryRecord",
-    "adaptive45_step",
     "format_invariant_summary",
     "integrate",
     "invariant_report",
-    "rk4_step",
 ]
 
 TRACE_POWERS = (2, 4)
@@ -185,60 +182,12 @@ class TrajectoryRecord:
         return self.times.size
 
 
-@dataclass(frozen=True)
-class StepAttempt:
-    """One embedded-pair attempt: proposed state, next step, verdict."""
-
-    state: LatticeState
-    h_next: float
-    accepted: bool
-    err_est: float
-
-
-def _wrap_state_field(field):
-    def raw(u):
-        try:
-            s = LatticeState(u)
-        except ValueError as exc:
-            raise _StageDomainError(str(exc)) from exc
-        d = np.asarray(field(s), dtype=float)
-        if not _all_in_open(d, -np.inf, np.inf):
-            raise PropagationError("right-hand side returned a non-finite derivative")
-        return d
-
-    return raw
-
-
 def _rk4_raw(f, u, h):
     k1 = f(u)
     k2 = f(u + 0.5 * h * k1)
     k3 = f(u + 0.5 * h * k2)
     k4 = f(u + h * k3)
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_step(field, s: LatticeState, h: float) -> LatticeState:
-    """One classical fourth-order step of size h.
-
-    ``field`` maps a LatticeState to the derivative of u.  Stage states and
-    the result are validated as in the fixed-step loop: a stage or a step
-    that leaves the positive cone raises PositivityAbortError, and a
-    non-finite derivative or result raises PropagationError.
-    """
-    if not (h > 0.0):
-        raise ValueError("need h > 0")
-    try:
-        u_new = _rk4_raw(_wrap_state_field(field), s.u, h)
-    except _StageDomainError as exc:
-        raise PositivityAbortError(
-            f"stage left the state domain with h = {h:.3g}: {exc}"
-        ) from exc
-    lo, hi = u_new.min(), u_new.max()
-    if not (-np.inf < lo and hi < np.inf):
-        raise PropagationError(f"non-finite state produced with h = {h:.3g}")
-    if not (lo > 0.0):
-        raise PositivityAbortError(f"step left the positive cone with h = {h:.3g}")
-    return LatticeState(u_new)
 
 
 # Dormand-Prince 5(4) tableau, one row per stage combination.  Rows 1-5
@@ -293,35 +242,6 @@ def _controller_factor(err_est: float) -> float:
     return min(_GROW_MAX, max(_SHRINK_MIN, _SAFETY * err_est ** -0.2))
 
 
-def adaptive45_step(
-    field, s: LatticeState, h: float, tol_abs: float, tol_rel: float
-) -> StepAttempt:
-    """One Dormand-Prince 4(5) attempt of size h.
-
-    The error estimate is the max norm of the difference between the orders,
-    scaled entrywise by tol_abs + tol_rel * |u|; the step is accepted when
-    the scaled estimate is at most one, and the fifth-order solution is the
-    one propagated.  The recommended next step applies the standard
-    proportional rule with safety 0.9 clamped to [0.2 h, 5 h].  On rejection
-    the incoming state is returned unchanged; a stage that leaves the state
-    domain counts as a rejection at half the step.
-    """
-    if not (h > 0.0):
-        raise ValueError("need h > 0")
-    if not (tol_abs > 0.0 and tol_rel > 0.0):
-        raise ValueError("tolerances must be positive")
-    try:
-        u5, err_vec, _ = _dopri_raw(_wrap_state_field(field), s.u, h)
-    except _StageDomainError:
-        return StepAttempt(state=s, h_next=0.5 * h, accepted=False, err_est=float("inf"))
-    scale = tol_abs + tol_rel * np.abs(s.u)
-    err_est = float(np.max(np.abs(err_vec) / scale))
-    accepted = err_est <= 1.0
-    h_next = h * _controller_factor(err_est)
-    state = LatticeState(u5) if accepted else s
-    return StepAttempt(state=state, h_next=h_next, accepted=accepted, err_est=err_est)
-
-
 def _raw_field(config: IntegratorConfig):
     if config.form == "direct":
         return _volterra_raw
@@ -341,8 +261,13 @@ def _raw_field(config: IntegratorConfig):
 def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     """Integrate from s0 over [t0, t1], sampling every record_every accepted steps.
 
-    Endpoints are always sampled.  See the module docstring for the
-    positivity policy; step-size underflow raises StepUnderflowError.
+    The one stepping entry point; a single step of size h is a run with
+    t1 = t0 + h.  Endpoints are always sampled.  An adaptive attempt is
+    accepted when the max norm of the embedded error, scaled entrywise by
+    tol_abs + tol_rel * |u|, is at most one; the next step applies the
+    proportional rule with safety 0.9, clamped to [0.2 h, 5 h].  See the
+    module docstring for the positivity policy; step-size underflow raises
+    StepUnderflowError.
     """
     # Overflow and invalid operations leave non-finite values, which the
     # loops detect and report; numpy's warnings would only repeat that.
@@ -395,7 +320,7 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 raise PositivityAbortError(
                     f"stage left the state domain at t = {t:.6g} with h = {h:.3g}: {exc}"
                 ) from exc
-            lo, hi = u_new.min(), u_new.max()
+            lo, hi = np.minimum.reduce(u_new), np.maximum.reduce(u_new)
             if not (-np.inf < lo and hi < np.inf):
                 raise PropagationError(f"non-finite state produced at t = {t:.6g}")
             if guard and not (lo > 0.0):
@@ -442,7 +367,7 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
             err_est = float((np.abs(err_vec) / scale).max())
             # One min and one max decide both "finite" and "positive"; NaN
             # propagates through both and fails every comparison.
-            lo, hi = u5.min(), u5.max()
+            lo, hi = np.minimum.reduce(u5), np.maximum.reduce(u5)
             if not (math.isfinite(err_est) and -np.inf < lo and hi < np.inf):
                 rejected += 1
                 h = _SHRINK_MIN * h_try

@@ -45,7 +45,6 @@ __all__ = [
     "lax_rhs",
     "objective_f",
     "pushforward_rhs",
-    "state_from_lax",
     "trace_objective",
     "volterra_rhs",
 ]
@@ -134,11 +133,6 @@ class LaxMatrix:
 def lax_from_state(s: LatticeState) -> LaxMatrix:
     """Couplings c_i = sqrt(u_i)."""
     return LaxMatrix(np.sqrt(s.u))
-
-
-def state_from_lax(L: LaxMatrix) -> LatticeState:
-    """Site variables u_i = c_i^2."""
-    return LatticeState(L.c * L.c)
 
 
 def _volterra_raw(u: np.ndarray) -> np.ndarray:

@@ -255,14 +255,12 @@ def check_field_equivalence(n_list, trials: int, seed: int, jobs: int = 1) -> Ch
                   "lax and bracket vs direct, relative", n_list, trials, seed, jobs)
 
 
-def check_sign_calibration(seed: int) -> CheckResult:
-    """The calibrated orientation is reproducible and decisive."""
-    return _sign_calibration(seed, lattice.calibrate_sign())
+def check_sign_calibration(seed: int, cal: lattice.SignCalibration) -> CheckResult:
+    """The calibrated orientation is reproducible and decisive.
 
-
-def _sign_calibration(seed: int, cal: lattice.SignCalibration) -> CheckResult:
-    # check_sign_calibration given the default calibration, which the
-    # battery also reports and so computes only once.
+    ``cal`` is the default calibration, ``lattice.calibrate_sign()``, which
+    the battery also reports and so computes only once.
+    """
     best = cal.discrepancy[cal.sigma]
     other = cal.discrepancy[-cal.sigma]
     stable = cal.sigma == lattice.CALIBRATED_SIGN
@@ -340,7 +338,7 @@ def run_verification(n_list, trials: int, seed: int, jobs: int = 1) -> VerifyRep
         check_chain_equality(n_list, trials, seed, jobs),
         check_gradient_defining(n_list, min(trials, 5), seed, jobs),
         check_field_equivalence(n_list, trials, seed, jobs),
-        _sign_calibration(seed, cal),
+        check_sign_calibration(seed, cal),
         check_trajectory_accuracy(trials, seed, jobs),
         check_isospectral_drift(n_list, seed),
     )

@@ -321,6 +321,15 @@ def test_gradient_check_rejects_large_eps(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_gradient_check_refuses_a_single_site(capsys, n):
+    # at n = 1 the directional derivative is exactly 0, so no order can be fitted
+    assert cli.main(["gradient-check", "--n", n, "--seed", "1"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: need n >= 2 and trials >= 1\n"
+
+
 def test_module_entry_point_prints_usage():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

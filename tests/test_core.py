@@ -126,13 +126,13 @@ def test_trace_power_validation():
         core.trace_power(np.ones((2, 3)), 2)
 
 
-def test_dense_matrix_validation():
-    m = core.dense_matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert not m.flags.writeable
-    with pytest.raises(core.DimensionMismatchError):
-        core.dense_matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        core.dense_matrix([[np.nan, 0.0], [0.0, 1.0]])
+def test_all_in_open_bounds_are_strict_and_nan_fails():
+    assert core._all_in_open(np.array([1.0, 2.0]), 0.0, np.inf)
+    assert not core._all_in_open(np.array([[1.0, 2.0], [3.0, 0.0]]), 0.0, np.inf)
+    assert not core._all_in_open(np.array([np.inf, 1.0]), -np.inf, np.inf)
+    assert not core._all_in_open(np.array([1.0, np.nan, 2.0]), -np.inf, np.inf)
+    with pytest.raises(ValueError, match="zero-size array"):
+        core._all_in_open(np.array([]), 0.0, 1.0)
 
 
 def test_eigen_diagonal_input():

@@ -1,0 +1,42 @@
+import importlib
+
+import pytest
+
+import volterra_lab
+
+SUBMODULES = ("cli", "core", "geometry", "integrate", "lattice", "rng", "verify")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_all_names_exist(name):
+    module = importlib.import_module(f"volterra_lab.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_all_names_resolve():
+    missing = [n for n in volterra_lab.__all__ if not hasattr(volterra_lab, n)]
+    assert not missing
+    assert len(set(volterra_lab.__all__)) == len(volterra_lab.__all__)
+
+
+def test_package_reexports_are_the_submodule_objects():
+    # every re-exported name is the object its submodule exports
+    for name in SUBMODULES:
+        module = importlib.import_module(f"volterra_lab.{name}")
+        for n in set(module.__all__) & set(volterra_lab.__all__):
+            assert getattr(volterra_lab, n) is getattr(module, n), n
+
+
+@pytest.mark.parametrize(
+    "name", ["rk4_step", "adaptive45_step", "StepAttempt", "dense_matrix", "state_from_lax"]
+)
+def test_the_second_stepping_api_is_gone(name):
+    # integrate(IntegratorConfig, LatticeState) is the one stepping entry point
+    assert name not in volterra_lab.__all__
+    assert not hasattr(volterra_lab, name)
+    for sub in SUBMODULES:
+        module = importlib.import_module(f"volterra_lab.{sub}")
+        assert name not in module.__all__
+        assert not hasattr(module, name)

@@ -42,65 +42,102 @@ def test_config_validation():
 
 
 def test_rk4_step_fixed_point_is_exact():
-    s = _state(5.0)
-    out = itg.rk4_step(volterra_rhs, s, 0.25)
-    npt.assert_array_equal(out.u, [5.0])
+    u = np.array([5.0])
+    npt.assert_array_equal(itg._rk4_raw(itg._volterra_raw, u, 0.25), [5.0])
 
 
 def test_rk4_step_linear_field_value():
     # du/dt = u from u = 1: one step of h = 0.1 gives the quartic Taylor sum
-    out = itg.rk4_step(lambda s: s.u, _state(1.0), 0.1)
+    out = itg._rk4_raw(lambda u: u, np.array([1.0]), 0.1)
     expect = 1.0 + 0.1 + 0.1**2 / 2.0 + 0.1**3 / 6.0 + 0.1**4 / 24.0
-    assert out.u[0] == pytest.approx(expect, rel=1e-15)
+    assert out[0] == pytest.approx(expect, rel=1e-15)
 
 
-def test_rk4_step_validation_and_errors():
-    s = _state(1.0)
+def test_rk4_step_validation_and_errors(monkeypatch):
     with pytest.raises(ValueError):
-        itg.rk4_step(volterra_rhs, s, 0.0)
-    with pytest.raises(itg.PropagationError):
-        itg.rk4_step(lambda st: np.array([np.nan]), s, 0.1)
-    # strong decay drives a stage negative at this step size
-    with pytest.raises(itg.PositivityAbortError):
-        itg.rk4_step(lambda st: -100.0 * st.u, s, 0.1)
+        itg.IntegratorConfig(method="rk4", h0=0.0)
+    one_step = itg.IntegratorConfig(method="rk4", t1=0.1, h0=0.1)
+    monkeypatch.setattr(itg, "_volterra_raw", lambda u: np.full_like(u, np.nan))
+    with pytest.raises(itg.PropagationError, match="non-finite state"):
+        itg.integrate(one_step, _state(1.0))
+    # strong decay drives a stage negative at this step size; a matrix form
+    # validates its stage states
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form, sigma: -100.0 * s.u)
+    cfg = itg.IntegratorConfig(method="rk4", form="lax", t1=0.1, h0=0.1)
+    with pytest.raises(itg.PositivityAbortError, match="stage left the state domain"):
+        itg.integrate(cfg, _state(1.0))
 
 
-def test_rk4_step_combined_step_leaving_the_cone_aborts():
+def test_rk4_step_combined_step_leaving_the_cone_aborts(monkeypatch):
     # every stage state stays positive; the last stage's slope of -100 takes
     # the combined step from u = 1 to 1 - 8.375
-    field = lambda st: np.where(st.u > 0.96, -0.1, -100.0)
-    with pytest.raises(itg.PositivityAbortError):
-        itg.rk4_step(field, _state(1.0), 0.5)
+    monkeypatch.setattr(itg, "_volterra_raw", lambda u: np.where(u > 0.96, -0.1, -100.0))
+    cfg = itg.IntegratorConfig(method="rk4", t1=0.5, h0=0.5)
+    with pytest.raises(itg.PositivityAbortError, match="site u_1 = -7.38 at t = 0.5"):
+        itg.integrate(cfg, _state(1.0))
     # finite stages whose weighted sum overflows
-    with np.errstate(over="ignore"), pytest.raises(itg.PropagationError):
-        itg.rk4_step(lambda st: np.full_like(st.u, 1e308), _state(1.0), 1.0)
+    monkeypatch.setattr(itg, "_volterra_raw", lambda u: np.full_like(u, 1e308))
+    cfg = itg.IntegratorConfig(method="rk4", t1=1.0, h0=1.0)
+    with pytest.raises(itg.PropagationError, match="non-finite state"):
+        itg.integrate(cfg, _state(1.0))
+
+
+def _spy_attempts(monkeypatch):
+    # Record (u, h, k1, stage domain left) for every attempt of the adaptive loop.
+    attempts = []
+    real = itg._dopri_raw
+
+    def spy(f, u, h, k1=None):
+        attempts.append([u.copy(), h, None if k1 is None else k1.copy(), False])
+        try:
+            return real(f, u, h, k1)
+        except itg._StageDomainError:
+            attempts[-1][3] = True
+            raise
+
+    monkeypatch.setattr(itg, "_dopri_raw", spy)
+    return attempts
 
 
 def test_adaptive_step_fixed_point():
-    s = _state(5.0)
-    att = itg.adaptive45_step(volterra_rhs, s, 0.3, 1e-10, 1e-10)
-    assert att.accepted
-    assert att.err_est == 0.0
-    assert att.h_next == pytest.approx(5.0 * 0.3)
-    npt.assert_array_equal(att.state.u, [5.0])
+    # err_est = 0 grows h by _GROW_MAX each step: 0.3, 1.5, 7.5, then the
+    # remaining 0.7 to t1
+    assert itg._controller_factor(0.0) == itg._GROW_MAX
+    cfg = itg.IntegratorConfig(method="adaptive45", t1=10.0, h0=0.3)
+    rec = itg.integrate(cfg, _state(5.0))
+    assert (rec.accepted_steps, rec.rejected_steps) == (4, 0)
+    npt.assert_array_equal(rec.times, [0.0, 0.3, 1.8, 9.3, 10.0])
+    assert np.all(rec.states == 5.0)
 
 
-def test_adaptive_step_rejects_at_tight_tolerance():
-    s = _state(1.0, 2.0)
-    att = itg.adaptive45_step(volterra_rhs, s, 0.5, 1e-16, 1e-16)
-    assert not att.accepted
-    assert att.err_est > 1.0
-    assert att.state is s
-    assert att.h_next == pytest.approx(0.1)  # shrink clamp 0.2 h
-
-
-def test_adaptive_step_stage_domain_counts_as_rejection():
-    att = itg.adaptive45_step(
-        lambda st: -100.0 * st.u, _state(1.0), 0.5, 1e-8, 1e-8
+def test_adaptive_step_rejects_at_tight_tolerance(monkeypatch):
+    # a huge error estimate shrinks h by the clamp _SHRINK_MIN and keeps u
+    assert itg._controller_factor(1e300) == itg._SHRINK_MIN
+    attempts = _spy_attempts(monkeypatch)
+    monkeypatch.setattr(itg, "_MAX_DP45_ATTEMPTS", 2)
+    cfg = itg.IntegratorConfig(
+        method="adaptive45", t1=1.0, h0=0.5, tol_abs=1e-16, tol_rel=1e-16
     )
-    assert not att.accepted
-    assert att.err_est == np.inf
-    assert att.h_next == pytest.approx(0.25)
+    with pytest.raises(itg.StepBudgetError, match="at t = 0 after 2 attempts"):
+        itg.integrate(cfg, _state(1.0, 2.0))
+    (u0, h0, _, _), (u1, h1, _, _) = attempts
+    assert (h0, h1) == (0.5, 0.5 * itg._SHRINK_MIN)
+    npt.assert_array_equal(u1, u0)
+
+
+def test_adaptive_step_stage_domain_counts_as_rejection(monkeypatch):
+    # strong decay drives a stage negative until h is small enough; each
+    # such attempt is a rejection at half the step
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form, sigma: -100.0 * s.u)
+    attempts = _spy_attempts(monkeypatch)
+    cfg = itg.IntegratorConfig(
+        method="adaptive45", form="lax", t1=0.2, h0=0.2, tol_abs=1e-8, tol_rel=1e-8
+    )
+    rec = itg.integrate(cfg, _state(1.0))
+    assert [a[1] for a in attempts[:6]] == [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
+    assert [a[3] for a in attempts[:6]] == [True] * 5 + [False]
+    assert rec.rejected_steps > 5
+    assert rec.states[-1, 0] == pytest.approx(np.exp(-20.0), abs=1e-8)
 
 
 def test_integrate_fixed_point_conserves_everything():
@@ -246,42 +283,39 @@ def test_adaptive_loop_reuses_the_last_stage(monkeypatch):
     assert len(calls) == 6 * (rec.accepted_steps + rec.rejected_steps) + 1
 
 
-def _reference_states(cfg, s0):
-    # Each attempt through the public single-step functions, which compute
-    # every stage afresh; the states after each accepted step.
-    field = lambda s: lattice.pushforward_rhs(s, cfg.form, cfg.sigma)
-    eps_t = 1e-12 * (cfg.t1 - cfg.t0)
-    t, s, h = cfg.t0, s0, min(cfg.h0, cfg.t1 - cfg.t0)
-    states = [s.u]
-    while cfg.t1 - t > eps_t:
-        h_try = min(h, cfg.t1 - t)
-        if cfg.method == "rk4":
-            s, accepted = itg.rk4_step(field, s, h_try), True
-        else:
-            step = itg.adaptive45_step(field, s, h_try, cfg.tol_abs, cfg.tol_rel)
-            s, accepted, h = step.state, step.accepted, step.h_next
-        if accepted:
-            t = cfg.t1 if cfg.t1 - (t + h_try) <= eps_t else t + h_try
-            states.append(s.u)
-    return np.array(states)
-
-
 @pytest.mark.parametrize("form", ["lax", "bracket"])
 @pytest.mark.parametrize("method", ["adaptive45", "rk4"])
-def test_integrate_matches_fresh_first_stage_bit_for_bit(form, method):
-    # with a large first step this start draws both error-estimate and
-    # stage-domain rejections, after which the loop must keep its old k1
+def test_integrate_matches_fresh_first_stage_bit_for_bit(monkeypatch, form, method):
+    # The loop's stages match a field that validates and copies every stage
+    # afresh.  For rk4 that is a test-local loop; for adaptive45 every k1 the
+    # loop passes to an attempt equals a fresh f(u) (first same as last), and
+    # a large first step draws both error-estimate and stage-domain
+    # rejections, after which the loop must keep its old k1.
+    def fresh(u):
+        return lattice.pushforward_rhs(LatticeState(u), form, CALIBRATED_SIGN)
+
     h0 = 0.5 if method == "adaptive45" else 1e-3
     cfg = itg.IntegratorConfig(
         method=method, form=form, t1=1.0, h0=h0, tol_abs=1e-8, tol_rel=1e-8
     )
     s0 = _state(0.3, 2.0, 5.0, 0.7)
+    if method == "rk4":
+        rec = itg.integrate(cfg, s0)
+        t, u, ref = 0.0, s0.u, [s0.u]
+        while 1.0 - t > 1e-12:
+            h = min(cfg.h0, 1.0 - t)
+            u = itg._rk4_raw(fresh, u, h)
+            t = 1.0 if 1.0 - (t + h) <= 1e-12 else t + h
+            ref.append(u)
+        assert rec.states.tobytes() == np.array(ref).tobytes()
+        return
+    attempts = _spy_attempts(monkeypatch)
     rec = itg.integrate(cfg, s0)
-    if method == "adaptive45":
-        assert rec.rejected_steps > 0
-    ref = _reference_states(cfg, s0)
-    assert ref.shape == rec.states.shape
-    assert np.array_equal(rec.states, ref)
+    assert len(attempts) == rec.accepted_steps + rec.rejected_steps
+    domain = sum(a[3] for a in attempts)
+    assert domain > 0 and rec.rejected_steps > domain
+    for u, _, k1, _ in attempts:
+        assert k1.tobytes() == fresh(u).tobytes()
 
 
 def test_nonfinite_attempt_is_rejected_with_the_shrink_factor(monkeypatch):
