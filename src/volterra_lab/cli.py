@@ -9,19 +9,23 @@ the closed-form directional derivative.  Only ``verify`` and
 so a ``simulate`` or ``spectrum`` start does not pay for loading it.
 
 Runs are configured by a flat key=value file (``#`` starts a comment) with
-every key also available as a flag; flags win.  On one machine the t, u and
-f columns are a byte-deterministic function of the configuration and seed.
-Across machines they stay byte-identical for rk4 runs of every form: no
-field makes a BLAS call, and the bracket's one BLAS dot product sets only
-its tangency tolerance.  adaptive45 runs also depend on the C library's pow
-(the controller's err ** -0.2).  The eigenvalue columns come from LAPACK,
-and the residuals of ``spectrum``, ``verify`` and ``gradient-check`` from
-dense BLAS and LAPACK work; they are byte-identical only on one numpy build.
+every key also available as a flag; flags win.  Keys named after
+``IntegratorConfig`` fields build one, and it holds their defaults.  On one
+machine the t, u and f columns are a byte-deterministic function of the
+configuration and seed.  Across machines they stay byte-identical for rk4
+runs of every form: no field makes a BLAS call, and the bracket's one BLAS
+dot product sets only its tangency tolerance.  adaptive45 runs also depend
+on the C library's pow (the controller's err ** -0.2).  The eigenvalue
+columns come from LAPACK, and the residuals of ``spectrum``, ``verify`` and
+``gradient-check`` from dense BLAS and LAPACK work; they are byte-identical
+only on one numpy build.
 
 Exit codes: 0 success, 2 configuration error (including a config file that
-cannot be read or decoded, and an ``--out`` that cannot be written, which is
-refused before any stepping), 3 integration failure (including an adaptive45
-run that reaches 1e8 attempts), 4 verification failure.
+cannot be read or decoded, an ``--out`` that cannot be written, which is
+refused before any stepping, a window t1 - t0 that overflows, and a repeated
+gradient-check eps), 3 integration failure (including a state that leaves
+the positive cone under rk4 and an adaptive45 run that reaches 1e8
+attempts), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -65,19 +69,10 @@ class RunConfig:
     must be set; with ``seed`` the site count ``n`` is required.
     """
 
+    integrator: IntegratorConfig
     n: int | None = None
     u0: tuple | None = None
     seed: int | None = None
-    t0: float = 0.0
-    t1: float = 1.0
-    h0: float = 1e-3
-    method: str = "rk4"
-    form: str = "direct"
-    sigma: int = lattice.CALIBRATED_SIGN
-    tol_abs: float = 1e-10
-    tol_rel: float = 1e-10
-    record_every: int = 1
-    guard_positivity: bool = True
     out: str | None = None
     format: str = "csv"
     spectra: bool = False
@@ -87,20 +82,6 @@ class RunConfig:
             return lattice.LatticeState(np.array(self.u0, dtype=float))
         stream = rng.SplitMix64(rng.substream_seed(self.seed, 0))
         return lattice.LatticeState(rng.random_state(self.n, stream))
-
-    def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            method=self.method,
-            form=self.form,
-            sigma=self.sigma,
-            t0=self.t0,
-            t1=self.t1,
-            h0=self.h0,
-            tol_abs=self.tol_abs,
-            tol_rel=self.tol_rel,
-            record_every=self.record_every,
-            guard_positivity=self.guard_positivity,
-        )
 
 
 _BOOL_TOKENS = {
@@ -136,7 +117,6 @@ _RUN_KEY_PARSERS = {
     "tol_abs": float,
     "tol_rel": float,
     "record_every": lambda v: int(v),
-    "guard_positivity": lambda v: _parse_bool(v, "guard_positivity"),
     "out": str,
     "format": str,
     "spectra": lambda v: _parse_bool(v, "spectra"),
@@ -176,39 +156,36 @@ def build_run_config(ns: argparse.Namespace) -> RunConfig:
     merged = {}
     if ns.config is not None:
         merged.update(read_config_file(ns.config))
-    for field in fields(RunConfig):
-        flag_value = getattr(ns, field.name, None)
+    for key in _RUN_KEY_PARSERS:
+        flag_value = getattr(ns, key, None)
         if flag_value is not None:
-            merged[field.name] = flag_value
-    if "u0" in merged and merged["u0"] is not None:
-        merged["u0"] = tuple(float(x) for x in merged["u0"])
+            merged[key] = flag_value
+    settings = {f.name: merged.pop(f.name) for f in fields(IntegratorConfig) if f.name in merged}
+    _validate_run_keys(merged)
     try:
-        cfg = RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    _validate_run_config(cfg)
-    return cfg
-
-
-def _validate_run_config(cfg: RunConfig):
-    if (cfg.u0 is None) == (cfg.seed is None):
-        raise ConfigError("exactly one of u0 and seed must be given")
-    if cfg.u0 is not None:
-        if len(cfg.u0) < 1:
-            raise ConfigError("u0 must list at least one site")
-        if cfg.n is not None and cfg.n != len(cfg.u0):
-            raise ConfigError(f"n = {cfg.n} does not match {len(cfg.u0)} sites in u0")
-        if not all(np.isfinite(cfg.u0)) or min(cfg.u0) <= 0.0:
-            raise ConfigError("u0 entries must be positive and finite")
-    else:
-        if cfg.n is None or cfg.n < 1:
-            raise ConfigError("a seeded run needs n >= 1")
-    if cfg.format not in ("csv", "jsonl"):
-        raise ConfigError(f"format must be csv or jsonl, got {cfg.format!r}")
-    try:
-        cfg.integrator_config()
+        integrator = IntegratorConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return RunConfig(integrator, **merged)
+
+
+def _validate_run_keys(keys: dict):
+    # The state and output keys, checked before the integrator settings.
+    n, u0, fmt = keys.get("n"), keys.get("u0"), keys.get("format")
+    if (u0 is None) == (keys.get("seed") is None):
+        raise ConfigError("exactly one of u0 and seed must be given")
+    if u0 is not None:
+        if len(u0) < 1:
+            raise ConfigError("u0 must list at least one site")
+        if n is not None and n != len(u0):
+            raise ConfigError(f"n = {n} does not match {len(u0)} sites in u0")
+        if not all(np.isfinite(u0)) or min(u0) <= 0.0:
+            raise ConfigError("u0 entries must be positive and finite")
+    else:
+        if n is None or n < 1:
+            raise ConfigError("a seeded run needs n >= 1")
+    if fmt is not None and fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
 
 
 def write_csv(path: str, record: TrajectoryRecord, spectra: bool):
@@ -242,8 +219,7 @@ def write_jsonl(path: str, record: TrajectoryRecord, spectra: bool):
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def cmd_simulate(cfg: RunConfig, out_stream=None) -> int:
-    out_stream = sys.stdout if out_stream is None else out_stream
+def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("simulate needs an output path (--out)")
     # Refuse an unwritable path before stepping; the file itself is only
@@ -251,21 +227,20 @@ def cmd_simulate(cfg: RunConfig, out_stream=None) -> int:
     folder = os.path.dirname(cfg.out) or "."
     if os.path.isdir(cfg.out) or not os.path.isdir(folder):
         raise ConfigError(f"cannot write {cfg.out}: not a file in an existing directory")
-    record = integrate(cfg.integrator_config(), cfg.initial_state())
+    record = integrate(cfg.integrator, cfg.initial_state())
     writer = write_csv if cfg.format == "csv" else write_jsonl
     try:
         writer(cfg.out, record, cfg.spectra)
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     summary = invariant_report(record)
-    print(format_invariant_summary(summary, record), file=out_stream)
-    print(f"wrote {record.n_samples} samples to {cfg.out}", file=out_stream)
+    print(format_invariant_summary(summary, record))
+    print(f"wrote {record.n_samples} samples to {cfg.out}")
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig, out_stream=None) -> int:
-    out_stream = sys.stdout if out_stream is None else out_stream
-    record = integrate(cfg.integrator_config(), cfg.initial_state())
+def cmd_spectrum(cfg: RunConfig) -> int:
+    record = integrate(cfg.integrator, cfg.initial_state())
     first = record.spectra[0]
     last = record.spectra[-1]
     drift = np.abs(record.spectra - first).max(axis=0)
@@ -275,67 +250,53 @@ def cmd_spectrum(cfg: RunConfig, out_stream=None) -> int:
         for u in record.states[[0, -1]]
     ]
     gap = np.abs(record.spectra[[0, -1]] - dense).max(axis=0)
-    print(
-        f"{'i':>3}  {'lambda(t0)':>24}  {'lambda(t1)':>24}  {'drift':>10}  {'dense gap':>10}",
-        file=out_stream,
-    )
+    print(f"{'i':>3}  {'lambda(t0)':>24}  {'lambda(t1)':>24}  {'drift':>10}  {'dense gap':>10}")
     for i in range(first.size):
         print(
             f"{i + 1:>3}  {first[i]:>24.16g}  {last[i]:>24.16g}  "
-            f"{drift[i]:>10.3e}  {gap[i]:>10.3e}",
-            file=out_stream,
+            f"{drift[i]:>10.3e}  {gap[i]:>10.3e}"
         )
-    print(
-        f"max drift = {drift.max():.3e}, max gap to dense eigh = {gap.max():.3e}",
-        file=out_stream,
-    )
+    print(f"max drift = {drift.max():.3e}, max gap to dense eigh = {gap.max():.3e}")
     return EXIT_OK
 
 
-def cmd_verify(n_list, trials: int, seed: int, jobs: int = 1, out_stream=None) -> int:
+def cmd_verify(n_list, trials: int, seed: int, jobs: int = 1) -> int:
     from . import verify
 
-    out_stream = sys.stdout if out_stream is None else out_stream
     report = verify.run_verification(n_list, trials, seed, jobs)
     name_w = max(len(c.name) for c in report.checks)
-    print(f"{'check':<{name_w}}  {'residual':>10}  {'threshold':>10}  status", file=out_stream)
+    print(f"{'check':<{name_w}}  {'residual':>10}  {'threshold':>10}  status")
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         print(
             f"{c.name:<{name_w}}  {c.residual:>10.3e}  {c.threshold:>10.0e}  {status}"
-            + (f"  ({c.detail})" if c.detail else ""),
-            file=out_stream,
+            + (f"  ({c.detail})" if c.detail else "")
         )
     print(
         f"sigma* = {report.sigma:+d}; trajectory discrepancy "
         f"{report.discrepancy[report.sigma]:.3e} (chosen) vs "
         f"{report.discrepancy[-report.sigma]:.3e} (rejected); "
-        f"degenerate redraws = {report.redraws}",
-        file=out_stream,
+        f"degenerate redraws = {report.redraws}"
     )
-    print("overall: " + ("PASS" if report.passed else "FAIL"), file=out_stream)
+    print("overall: " + ("PASS" if report.passed else "FAIL"))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def cmd_gradient_check(
-    n: int, trials: int, seed: int, eps_list, out_stream=None
-) -> int:
-    out_stream = sys.stdout if out_stream is None else out_stream
-    eps_list = tuple(float(e) for e in eps_list)
+def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
     if not eps_list or not all(0.0 < e <= 1e-2 for e in eps_list):
         raise ConfigError("eps values must lie in (0, 1e-2]")
     # At n = 1, L^2 = c^2 I commutes with K, so f is constant on the orbit
     # and the fitted order of a zero derivative would mean nothing.
     if n < 2 or trials < 1:
         raise ConfigError("need n >= 2 and trials >= 1")
+    # A repeated eps leaves the fitted order underdetermined.
+    if len(set(eps_list)) != len(eps_list):
+        raise ConfigError(f"eps values must be distinct, got {eps_list}")
     from . import verify
 
     slopes = []
     pairing_worst = 0.0
-    print(
-        f"{'trial':>5}  {'eps':>9}  {'fd':>23}  {'closed_form':>23}  {'|fd-closed|':>12}",
-        file=out_stream,
-    )
+    print(f"{'trial':>5}  {'eps':>9}  {'fd':>23}  {'closed_form':>23}  {'|fd-closed|':>12}")
     for trial in range(trials):
         _, ctx, stream, _ = verify._draw_context(seed, 8, n, trial)
         # direction norm 10: keeps the eps^2 term of the centered difference
@@ -352,18 +313,14 @@ def cmd_gradient_check(
             fd = geometry.finite_difference_directional(ctx.base, t, eps)
             err = abs(fd - dd)
             errs.append(max(err, 1e-300))
-            print(
-                f"{trial:>5}  {eps:>9.1e}  {fd:>23.16g}  {dd:>23.16g}  {err:>12.3e}",
-                file=out_stream,
-            )
+            print(f"{trial:>5}  {eps:>9.1e}  {fd:>23.16g}  {dd:>23.16g}  {err:>12.3e}")
         if len(eps_list) >= 2:
             slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
             slopes.append(float(slope))
     mean_slope = float(np.mean(slopes)) if slopes else float("nan")
     print(
         f"mean convergence order = {mean_slope:.3f} (expect 2.0 +/- 0.2); "
-        f"max |closed - metric| / (1 + |closed|) = {pairing_worst:.3e}",
-        file=out_stream,
+        f"max |closed - metric| / (1 + |closed|) = {pairing_worst:.3e}"
     )
     ok = (not slopes or abs(mean_slope - 2.0) <= 0.2) and pairing_worst <= 1e-11
     return EXIT_OK if ok else EXIT_VERIFICATION
@@ -386,9 +343,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, with_output: bool):
     parser.add_argument("--tol-rel", dest="tol_rel", type=float, help="relative tolerance")
     parser.add_argument("--record-every", dest="record_every", type=int,
                         help="sampling stride in accepted steps (default 1)")
-    parser.add_argument("--guard-positivity", dest="guard_positivity",
-                        action=argparse.BooleanOptionalAction, default=None,
-                        help="reject or abort on nonpositive sites (default on)")
     if with_output:
         parser.add_argument("--out", help="output file path")
         parser.add_argument("--format", choices=("csv", "jsonl"), help="output format")
@@ -445,10 +399,8 @@ def main(argv=None) -> int:
             if not n_list or min(n_list) < 1 or ns.trials < 1 or ns.jobs < 1:
                 raise ConfigError("need n-list entries >= 1, trials >= 1 and jobs >= 1")
             return cmd_verify(n_list, ns.trials, ns.seed, ns.jobs)
-        if ns.command == "gradient-check":
-            eps_list = _parse_floats(ns.eps, "eps")
-            return cmd_gradient_check(ns.n, ns.trials, ns.seed, eps_list)
-        raise ConfigError(f"unknown command {ns.command!r}")
+        eps_list = _parse_floats(ns.eps, "eps")
+        return cmd_gradient_check(ns.n, ns.trials, ns.seed, eps_list)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -384,11 +384,7 @@ class SignCalibration:
     discrepancy: Mapping[int, float]
 
 
-def calibrate_sign(
-    state: LatticeState | None = None,
-    t_end: float = 0.1,
-    n_steps: int = 200,
-) -> SignCalibration:
+def calibrate_sign(state: LatticeState | None = None) -> SignCalibration:
     """Determine the commutator orientation by a short twin integration.
 
     Both candidate signs drive the Lax-form field from the same initial
@@ -401,7 +397,8 @@ def calibrate_sign(
 
     if state is None:
         state = LatticeState((1.0, 1.0))
-    h = t_end / n_steps
+    n_steps = 200
+    h = 0.1 / n_steps
     lax_field = {sig: _raw_field(IntegratorConfig(form="lax", sigma=sig)) for sig in (+1, -1)}
     u_direct = state.u.copy()
     u_lax = {+1: state.u.copy(), -1: state.u.copy()}

@@ -127,13 +127,13 @@ def _trial_chain(seed: int, n: int, trial: int):
     return residual, 0
 
 
-def _trial_gradient(seed: int, n: int, trial: int, directions: int = 100):
+def _trial_gradient(seed: int, n: int, trial: int):
     s, ctx, stream, redraws = _draw_context(seed, 4, n, trial)
     grad = geometry.orbit_gradient(ctx)
     g = commutator(ctx.dense @ ctx.dense, lattice.build_K(n + 1))
     g_norm = float(np.linalg.norm(g))
     worst = 0.0
-    for _ in range(directions):
+    for _ in range(100):
         t = rng.uniform_matrix(n + 1, stream)
         v = geometry.TangentVector(ctx.base, commutator(ctx.dense, t))
         dd = geometry.directional_derivative(ctx.base, t)

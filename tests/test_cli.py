@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -149,6 +150,32 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown key" in err and ":2:" in err  # reported with its line number
 
 
+def test_positivity_guard_cannot_be_switched_off(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for flag in ("--no-guard-positivity", "--guard-positivity"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--u0", "1,1", flag, "--out", str(out)])
+        assert exc.value.code == cli.EXIT_CONFIG
+    capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("u0 = 1,1\nguard_positivity = false\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}:2: unknown key 'guard_positivity'\n"
+    )
+    assert not out.exists()
+
+
+def test_readme_config_table_lists_the_accepted_keys():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("| key | meaning | default |\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[1:]  # past the separator row
+    documented = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(documented) == sorted(cli._RUN_KEY_PARSERS)
+
+
 def test_config_file_bad_syntax(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("u0: 1,1\n")
@@ -242,6 +269,22 @@ def test_nonfinite_window_is_a_config_error(tmp_path, capsys, arg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "method, message",
+    [("rk4", "rk4 would take inf steps"), ("adaptive45", "t1 - t0 overflows")],
+)
+def test_overflowing_window_is_a_config_error(tmp_path, capsys, method, message):
+    # t1 - t0 = inf: adaptive45 used to take no step and write u0 as the state at t1
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--u0", "1,2,3", "--method", method, "--t0=-1e308", "--t1", "1e308",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_integration_failure_exit_code(tmp_path, capsys):
     rc = cli.main(
         ["simulate", "--u0", "1,2", "--method", "adaptive45",
@@ -319,6 +362,14 @@ def test_gradient_check_command(capsys):
 def test_gradient_check_rejects_large_eps(capsys):
     assert cli.main(["gradient-check", "--eps", "0.5"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_gradient_check_refuses_repeated_eps(capsys):
+    # a repeated eps made np.polyfit warn (RankWarning) and the check exit 4
+    assert cli.main(["gradient-check", "--eps", "1e-3,1e-3", "--trials", "1"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: eps values must be distinct, got (0.001, 0.001)\n"
 
 
 @pytest.mark.parametrize("n", ["1", "0"])

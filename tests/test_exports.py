@@ -30,7 +30,9 @@ def test_package_reexports_are_the_submodule_objects():
 
 
 @pytest.mark.parametrize(
-    "name", ["rk4_step", "adaptive45_step", "StepAttempt", "dense_matrix", "state_from_lax"]
+    "name",
+    ["rk4_step", "adaptive45_step", "StepAttempt", "dense_matrix", "state_from_lax",
+     "FieldDomainError"],
 )
 def test_the_second_stepping_api_is_gone(name):
     # integrate(IntegratorConfig, LatticeState) is the one stepping entry point

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import importlib
+import warnings
 
 # the package re-exports the integrate() function over the submodule name,
 # so fetch the module itself for monkeypatching and attribute access
@@ -38,6 +39,9 @@ def test_config_validation():
         itg.IntegratorConfig(method="rk4", t1=1.0, h0=0.5 / itg._MAX_RK4_STEPS)
     with pytest.raises(ValueError, match="rk4 would take"):
         itg.IntegratorConfig(method="rk4", t0=-1e308, t1=1e308)
+    # t1 - t0 = inf would make every step look like the last one
+    with pytest.raises(ValueError, match="t1 - t0 overflows"):
+        itg.IntegratorConfig(method="adaptive45", t0=-1e308, t1=1e308)
     itg.IntegratorConfig(method="adaptive45", h0=1e-300)
 
 
@@ -244,6 +248,25 @@ def test_fixed_step_positivity_abort_matrix_form():
         itg.integrate(cfg, _state(10.0, 1.0))
 
 
+@pytest.mark.parametrize("form", ["direct", "lax", "bracket"])
+def test_only_the_matrix_forms_check_stage_states(monkeypatch, form):
+    # the matrix forms take sqrt(u), so a stage outside the cone aborts
+    # them; the direct field is a polynomial and only its combined step is
+    # checked, which here stays positive
+    cfg = itg.IntegratorConfig(method="rk4", form=form, t1=0.6427, h0=0.6427)
+    u0 = _state(3.777, 1.164, 0.3203, 0.9185)
+    if form == "direct":
+        stage_minima = []
+        raw = itg._volterra_raw
+        monkeypatch.setattr(itg, "_volterra_raw", lambda u: stage_minima.append(u.min()) or raw(u))
+        rec = itg.integrate(cfg, u0)
+        assert min(stage_minima) < 0.0
+        assert rec.accepted_steps == 1 and np.all(rec.states[-1] > 0.0)
+    else:
+        with pytest.raises(itg.PositivityAbortError, match="stage left the state domain"):
+            itg.integrate(cfg, u0)
+
+
 def test_adaptive_guard_rejects_and_recovers():
     cfg = itg.IntegratorConfig(
         method="adaptive45", form="lax", t1=1.0, h0=0.5, tol_abs=1e-10, tol_rel=1e-10
@@ -258,15 +281,6 @@ def test_adaptive_guard_rejects_and_recovers():
         _state(10.0, 1e-6),
     )
     npt.assert_allclose(rec.states[-1], ref.states[-1], rtol=0, atol=1e-8)
-
-
-def test_adaptive_guard_off_raises_domain_error():
-    cfg = itg.IntegratorConfig(
-        method="adaptive45", form="lax", t1=1.0, h0=0.5,
-        tol_abs=1e-10, tol_rel=1e-10, guard_positivity=False,
-    )
-    with pytest.raises(itg.FieldDomainError):
-        itg.integrate(cfg, _state(10.0, 1e-6))
 
 
 def test_adaptive_loop_reuses_the_last_stage(monkeypatch):
@@ -475,6 +489,19 @@ def test_invariant_report_ascent_with_flipped_sign():
     assert not summary.descent_expected
     assert summary.f_violations == 0
     assert summary.f_final > summary.f_initial
+
+
+def test_invariant_report_of_an_overflowing_trace_does_not_warn():
+    # one site never moves, so a finite u of 1e300 runs to t1 while
+    # tr L^4 = 2 u^2 is inf at every sample
+    cfg = itg.IntegratorConfig(method="rk4", t1=0.01, h0=1e-3)
+    rec = itg.integrate(cfg, _state(1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = itg.invariant_report(rec)
+    assert summary.trace_drift[2] == 0.0
+    assert np.isnan(summary.trace_drift[4])
+    assert summary.max_eigenvalue_drift == 0.0
 
 
 def test_invariant_report_counts_violations():
