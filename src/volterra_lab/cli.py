@@ -5,11 +5,11 @@ Four commands: ``simulate`` integrates and writes a trajectory file,
 eigensolve at its endpoints, ``verify`` runs the named identity battery,
 and ``gradient-check`` compares finite differences of the objective against
 the closed-form directional derivative.  Only ``verify`` and
-``gradient-check`` import the battery module (and with it the process pool),
-so a ``simulate`` or ``spectrum`` start does not pay for loading it.
+``gradient-check`` import the battery module, so a ``simulate`` or
+``spectrum`` start does not pay for loading it.
 
 Runs are configured by a flat key=value file (``#`` starts a comment) with
-every key also available as a flag; flags win.  Keys named after
+every key also a flag that the same parser reads; flags win.  Keys named after
 ``IntegratorConfig`` fields build one, and it holds their defaults.  On one
 machine the t, u and f columns are a byte-deterministic function of the
 configuration and seed.  Across machines they stay byte-identical for rk4
@@ -22,10 +22,10 @@ only on one numpy build.
 
 Exit codes: 0 success, 2 configuration error (including a config file that
 cannot be read or decoded, an ``--out`` that cannot be written, which is
-refused before any stepping, a window t1 - t0 that overflows, and a repeated
-gradient-check eps), 3 integration failure (including a state that leaves
-the positive cone under rk4 and an adaptive45 run that reaches 1e8
-attempts), 4 verification failure.
+refused before any stepping, a window t1 - t0 that overflows, and fewer
+than two distinct gradient-check eps values), 3 integration failure
+(including a state that leaves the positive cone under rk4 and an
+adaptive45 run that reaches 1e8 attempts), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -104,23 +104,35 @@ def _parse_floats(text: str, key: str) -> tuple:
         raise ConfigError(f"{key} expects comma-separated numbers, got {text!r}") from None
 
 
-_RUN_KEY_PARSERS = {
-    "n": lambda v: int(v),
-    "u0": lambda v: _parse_floats(v, "u0"),
-    "seed": lambda v: int(v),
-    "t0": float,
-    "t1": float,
-    "h0": float,
-    "method": str,
-    "form": str,
-    "sigma": lambda v: int(v),
-    "tol_abs": float,
-    "tol_rel": float,
-    "record_every": lambda v: int(v),
-    "out": str,
-    "format": str,
-    "spectra": lambda v: _parse_bool(v, "spectra"),
+# key -> (parser of its text in a file or a flag, help).  IntegratorConfig and
+# _validate_run_keys check method, form, sigma and format.
+_RUN_KEYS = {
+    "n": (int, "number of sites"),
+    "u0": (lambda v: _parse_floats(v, "u0"), "comma-separated initial sites, e.g. 1,2,3"),
+    "seed": (int, "seed for log-uniform initial sites"),
+    "t0": (float, "start time (default 0)"),
+    "t1": (float, "end time (default 1)"),
+    "h0": (float, "step size, or initial step (default 1e-3)"),
+    "method": (str, "integration scheme, rk4 or adaptive45 (default rk4)"),
+    "form": (str, f"right-hand-side form, one of {', '.join(lattice.FORMS)} (default direct)"),
+    "sigma": (int, "orientation of the matrix forms, 1 or -1 (default calibrated)"),
+    "tol_abs": (float, "absolute tolerance"),
+    "tol_rel": (float, "relative tolerance"),
+    "record_every": (int, "sampling stride in accepted steps (default 1)"),
+    "out": (str, "output file path"),
+    "format": (str, "output format, csv or jsonl (default csv)"),
+    "spectra": (lambda v: _parse_bool(v, "spectra"), "include eigenvalue columns"),
 }
+
+
+def _parse_value(key: str, text: str, where: str = ""):
+    """Parse the text of one key; ``where`` prefixes a bad-value message."""
+    try:
+        return _RUN_KEYS[key][0](text)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"{where}bad value for {key}: {text!r}") from None
 
 
 def read_config_file(path: str) -> dict:
@@ -140,26 +152,20 @@ def read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _RUN_KEY_PARSERS:
+        if key not in _RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _RUN_KEY_PARSERS[key](value)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+        values[key] = _parse_value(key, value, f"{path}:{lineno}: ")
     return values
 
 
 def build_run_config(ns: argparse.Namespace) -> RunConfig:
     """Merge defaults, the config file, and flags (flags win)."""
-    merged = {}
-    if ns.config is not None:
-        merged.update(read_config_file(ns.config))
-    for key in _RUN_KEY_PARSERS:
-        flag_value = getattr(ns, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    merged = read_config_file(ns.config) if ns.config is not None else {}
+    for key in _RUN_KEYS:
+        value = getattr(ns, key, None)
+        if value is not None:
+            # --spectra/--no-spectra arrives as a bool, every other flag as text
+            merged[key] = value if isinstance(value, bool) else _parse_value(key, value)
     settings = {f.name: merged.pop(f.name) for f in fields(IntegratorConfig) if f.name in merged}
     _validate_run_keys(merged)
     try:
@@ -260,10 +266,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(n_list, trials: int, seed: int, jobs: int = 1) -> int:
+def cmd_verify(n_list, trials: int, seed: int) -> int:
     from . import verify
 
-    report = verify.run_verification(n_list, trials, seed, jobs)
+    report = verify.run_verification(n_list, trials, seed)
     name_w = max(len(c.name) for c in report.checks)
     print(f"{'check':<{name_w}}  {'residual':>10}  {'threshold':>10}  status")
     for c in report.checks:
@@ -292,6 +298,8 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
     # A repeated eps leaves the fitted order underdetermined.
     if len(set(eps_list)) != len(eps_list):
         raise ConfigError(f"eps values must be distinct, got {eps_list}")
+    if len(eps_list) < 2:
+        raise ConfigError(f"a convergence order needs at least two eps values, got {eps_list}")
     from . import verify
 
     slopes = []
@@ -314,40 +322,24 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
             err = abs(fd - dd)
             errs.append(max(err, 1e-300))
             print(f"{trial:>5}  {eps:>9.1e}  {fd:>23.16g}  {dd:>23.16g}  {err:>12.3e}")
-        if len(eps_list) >= 2:
-            slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
-            slopes.append(float(slope))
-    mean_slope = float(np.mean(slopes)) if slopes else float("nan")
+        slopes.append(float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0]))
+    mean_slope = float(np.mean(slopes))
     print(
         f"mean convergence order = {mean_slope:.3f} (expect 2.0 +/- 0.2); "
         f"max |closed - metric| / (1 + |closed|) = {pairing_worst:.3e}"
     )
-    ok = (not slopes or abs(mean_slope - 2.0) <= 0.2) and pairing_worst <= 1e-11
+    ok = abs(mean_slope - 2.0) <= 0.2 and pairing_worst <= 1e-11
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, with_output: bool):
+def _add_run_flags(parser: argparse.ArgumentParser, keys):
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--n", type=int, help="number of sites")
-    parser.add_argument("--u0", type=lambda v: _parse_floats(v, "u0"),
-                        help="comma-separated initial sites, e.g. 1,2,3")
-    parser.add_argument("--seed", type=int, help="seed for log-uniform initial sites")
-    parser.add_argument("--t0", type=float, help="start time (default 0)")
-    parser.add_argument("--t1", type=float, help="end time (default 1)")
-    parser.add_argument("--h0", type=float, help="step size, or initial step (default 1e-3)")
-    parser.add_argument("--method", choices=("rk4", "adaptive45"), help="integration scheme")
-    parser.add_argument("--form", choices=lattice.FORMS, help="right-hand-side form")
-    parser.add_argument("--sigma", type=int, choices=(1, -1),
-                        help="orientation of the matrix forms (default calibrated)")
-    parser.add_argument("--tol-abs", dest="tol_abs", type=float, help="absolute tolerance")
-    parser.add_argument("--tol-rel", dest="tol_rel", type=float, help="relative tolerance")
-    parser.add_argument("--record-every", dest="record_every", type=int,
-                        help="sampling stride in accepted steps (default 1)")
-    if with_output:
-        parser.add_argument("--out", help="output file path")
-        parser.add_argument("--format", choices=("csv", "jsonl"), help="output format")
-        parser.add_argument("--spectra", action=argparse.BooleanOptionalAction,
-                            default=None, help="include eigenvalue columns")
+    for key in keys:
+        if key == "spectra":
+            parser.add_argument("--spectra", action=argparse.BooleanOptionalAction,
+                                default=None, help=_RUN_KEYS[key][1])
+        else:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_RUN_KEYS[key][1])
 
 
 # Parsing leaves the parser unchanged, so one instance serves every call.
@@ -360,18 +352,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="integrate and write a trajectory file")
-    _add_run_flags(sim, with_output=True)
+    _add_run_flags(sim, _RUN_KEYS)
 
     spec = sub.add_parser("spectrum", help="integrate and print eigenvalue drift")
-    _add_run_flags(spec, with_output=False)
+    _add_run_flags(spec, [k for k in _RUN_KEYS if k not in ("out", "format", "spectra")])
 
     ver = sub.add_parser("verify", help="run the identity battery")
     ver.add_argument("--n-list", dest="n_list", default="1,2,3,5,8",
                      help="comma-separated site counts (default 1,2,3,5,8)")
     ver.add_argument("--trials", type=int, default=25, help="trials per site count")
     ver.add_argument("--seed", type=int, default=1, help="battery seed")
-    ver.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for independent trials (capped by the CPU count)")
 
     gc = sub.add_parser("gradient-check",
                         help="finite-difference check of the directional derivative")
@@ -396,9 +386,9 @@ def main(argv=None) -> int:
                 n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok.strip())
             except ValueError:
                 raise ConfigError(f"bad n-list {ns.n_list!r}") from None
-            if not n_list or min(n_list) < 1 or ns.trials < 1 or ns.jobs < 1:
-                raise ConfigError("need n-list entries >= 1, trials >= 1 and jobs >= 1")
-            return cmd_verify(n_list, ns.trials, ns.seed, ns.jobs)
+            if not n_list or min(n_list) < 1 or ns.trials < 1:
+                raise ConfigError("need n-list entries >= 1 and trials >= 1")
+            return cmd_verify(n_list, ns.trials, ns.seed)
         eps_list = _parse_floats(ns.eps, "eps")
         return cmd_gradient_check(ns.n, ns.trials, ns.seed, eps_list)
     except ConfigError as exc:

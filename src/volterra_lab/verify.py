@@ -2,16 +2,13 @@
 
 Each check exercises one exact identity of the flow and geometry stack on
 seeded random data and reports a normalized residual against a fixed
-threshold.  Trials are independent substreams of the seed, so a battery can
-be fanned across processes and merged by trial index without changing the
-outcome.  States whose spectrum is numerically degenerate are redrawn and
-counted, never silently regularized.
+threshold.  Each trial draws from its own substream of the seed, and the
+battery runs them serially in one process.  States whose spectrum is
+numerically degenerate are redrawn and counted, never silently regularized.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +32,6 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 50
-_CHUNKSIZE = 16
 
 # Thresholds, one per check; residuals are normalized so these are flat.
 THRESHOLD_LAX_GENERATOR = 1e-12
@@ -187,64 +183,48 @@ def _trial_trajectory(seed: int, n: int, trial: int):
     return float((np.abs(u - exact) / (1.0 + np.abs(exact))).max()), 0
 
 
-def _run_one(task):
-    trial_fn, seed, n, trial = task
-    return trial_fn(seed, n, trial)
-
-
 def _sweep(
-    trial_fn, name: str, threshold: float, detail: str, n_list, trials: int, seed: int, jobs: int
+    trial_fn, name: str, threshold: float, detail: str, n_list, trials: int, seed: int
 ) -> CheckResult:
-    """Worst residual of trial_fn over the (n, trial) grid; deterministic for any jobs.
-
-    The pool never has more workers than CPUs or than chunks of work: a fork
-    pool starts all of its workers up front, whether or not they get a task.
-    """
-    tasks = [(trial_fn, seed, n, t) for n in n_list for t in range(trials)]
-    chunks = -(-len(tasks) // _CHUNKSIZE)
-    workers = min(jobs, os.cpu_count() or 1, chunks)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=_CHUNKSIZE))
-    else:
-        results = [_run_one(task) for task in tasks]
+    """Worst residual of trial_fn over the (n, trial) grid."""
+    results = [trial_fn(seed, n, t) for n in n_list for t in range(trials)]
     worst = max(r[0] for r in results)
     return CheckResult(
         name=name,
         residual=worst,
         threshold=threshold,
         passed=worst <= threshold,
-        trials=len(tasks),
+        trials=len(results),
         redraws=sum(r[1] for r in results),
         detail=detail,
     )
 
 
-def check_lax_generator(n_list, trials: int, seed: int, jobs: int = 1) -> CheckResult:
+def check_lax_generator(n_list, trials: int, seed: int) -> CheckResult:
     """The Lax generator equals the bracket [L^2, K], entry for entry."""
     return _sweep(_trial_lax_generator, "lax-generator-equals-bracket", THRESHOLD_LAX_GENERATOR,
-                  "max |A - [L^2, K]| / (1 + ||L||^2)", n_list, trials, seed, jobs)
+                  "max |A - [L^2, K]| / (1 + ||L||^2)", n_list, trials, seed)
 
 
-def check_projection_fixed_point(n_list, trials: int, seed: int, jobs: int = 1) -> CheckResult:
+def check_projection_fixed_point(n_list, trials: int, seed: int) -> CheckResult:
     """[L^2, K] is already centralizer-free, so the projection fixes it."""
     return _sweep(_trial_projection, "projection-fixed-point", THRESHOLD_PROJECTION,
-                  "||P(G) - G|| / (1 + ||G||)", n_list, trials, seed, jobs)
+                  "||P(G) - G|| / (1 + ||G||)", n_list, trials, seed)
 
 
-def check_chain_equality(n_list, trials: int, seed: int, jobs: int = 1) -> CheckResult:
+def check_chain_equality(n_list, trials: int, seed: int) -> CheckResult:
     """Three trace forms of the directional derivative are one number."""
     return _sweep(_trial_chain, "derivative-chain-equality", THRESHOLD_CHAIN,
-                  "product rule vs bracket vs adjoint form", n_list, trials, seed, jobs)
+                  "product rule vs bracket vs adjoint form", n_list, trials, seed)
 
 
-def check_gradient_defining(n_list, trials: int, seed: int, jobs: int = 1) -> CheckResult:
+def check_gradient_defining(n_list, trials: int, seed: int) -> CheckResult:
     """df([L, T]) equals the metric pairing of the gradient with [L, T]."""
     return _sweep(_trial_gradient, "gradient-defining-equation", THRESHOLD_GRADIENT,
-                  "100 directions per state", n_list, trials, seed, jobs)
+                  "100 directions per state", n_list, trials, seed)
 
 
-def check_field_equivalence(n_list, trials: int, seed: int, jobs: int = 1) -> CheckResult:
+def check_field_equivalence(n_list, trials: int, seed: int) -> CheckResult:
     """All three right-hand sides produce the same du/dt at the calibrated sign.
 
     Each matrix-form pushforward is also compared with the superdiagonal of
@@ -252,7 +232,7 @@ def check_field_equivalence(n_list, trials: int, seed: int, jobs: int = 1) -> Ch
     have the same bits.
     """
     return _sweep(_trial_equivalence, "field-equivalence", THRESHOLD_EQUIVALENCE,
-                  "lax and bracket vs direct, relative", n_list, trials, seed, jobs)
+                  "lax and bracket vs direct, relative", n_list, trials, seed)
 
 
 def check_sign_calibration(seed: int, cal: lattice.SignCalibration) -> CheckResult:
@@ -313,7 +293,7 @@ def check_isospectral_drift(n_list, seed: int) -> CheckResult:
     )
 
 
-def check_trajectory_accuracy(trials: int, seed: int, jobs: int = 1) -> CheckResult:
+def check_trajectory_accuracy(trials: int, seed: int) -> CheckResult:
     """DP45 at tolerance 1e-10 lands on the exact N = 2 solution at t = 1.
 
     Drift checks are nearly blind to wrong Runge-Kutta weights, since any
@@ -321,10 +301,10 @@ def check_trajectory_accuracy(trials: int, seed: int, jobs: int = 1) -> CheckRes
     trajectory with an independent closed form.
     """
     return _sweep(_trial_trajectory, "trajectory-accuracy", THRESHOLD_TRAJECTORY,
-                  "DP45 vs the N = 2 closed form at t = 1, relative", (2,), trials, seed, jobs)
+                  "DP45 vs the N = 2 closed form at t = 1, relative", (2,), trials, seed)
 
 
-def run_verification(n_list, trials: int, seed: int, jobs: int = 1) -> VerifyReport:
+def run_verification(n_list, trials: int, seed: int) -> VerifyReport:
     """Run the full battery and assemble the report."""
     n_list = tuple(int(n) for n in n_list)
     if not n_list or min(n_list) < 1:
@@ -333,13 +313,13 @@ def run_verification(n_list, trials: int, seed: int, jobs: int = 1) -> VerifyRep
         raise ValueError("need at least one trial")
     cal = lattice.calibrate_sign()
     checks = (
-        check_lax_generator(n_list, trials, seed, jobs),
-        check_projection_fixed_point(n_list, trials, seed, jobs),
-        check_chain_equality(n_list, trials, seed, jobs),
-        check_gradient_defining(n_list, min(trials, 5), seed, jobs),
-        check_field_equivalence(n_list, trials, seed, jobs),
+        check_lax_generator(n_list, trials, seed),
+        check_projection_fixed_point(n_list, trials, seed),
+        check_chain_equality(n_list, trials, seed),
+        check_gradient_defining(n_list, min(trials, 5), seed),
+        check_field_equivalence(n_list, trials, seed),
         check_sign_calibration(seed, cal),
-        check_trajectory_accuracy(trials, seed, jobs),
+        check_trajectory_accuracy(trials, seed),
         check_isospectral_drift(n_list, seed),
     )
     return VerifyReport(checks=checks, sigma=cal.sigma, discrepancy=dict(cal.discrepancy))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -173,7 +174,53 @@ def test_readme_config_table_lists_the_accepted_keys():
     table = text.split("| key | meaning | default |\n", 1)[1].split("\n\n", 1)[0]
     rows = table.splitlines()[1:]  # past the separator row
     documented = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
-    assert sorted(documented) == sorted(cli._RUN_KEY_PARSERS)
+    assert sorted(documented) == sorted(cli._RUN_KEYS)
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("volterra-lab ")]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"simulate", "spectrum", "verify", "gradient-check"}
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == cli.EXIT_OK, (argv, capsys.readouterr().err)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("u0", "1,x"), ("n", "x"), ("method", "euler"), ("format", "xml"), ("sigma", "0"),
+     ("record_every", "1.5"), ("t1", "abc")],
+)
+def test_bad_flag_gets_the_config_file_message(tmp_path, capsys, key, value):
+    # a flag and a file line go through the same parser, so both give one line
+    # (argparse used to print eight lines of usage for some of these flags)
+    out = tmp_path / "x.csv"
+    lines = [f"{key} = {value}"] if key == "u0" else ["u0 = 1,2", f"{key} = {value}"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    file_err = capsys.readouterr().err.replace(f"{cfg}:{len(lines)}: ", "")
+    state = [] if key == "u0" else ["--u0", "1,2"]
+    flag = "--" + key.replace("_", "-")
+    assert cli.main(["simulate", *state, flag, value, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err == file_err
+    assert not out.exists()
 
 
 def test_config_file_bad_syntax(tmp_path, capsys):
@@ -326,17 +373,6 @@ def test_verify_command_passes(capsys):
         assert name in out
 
 
-def test_verify_jobs_do_not_change_the_report(capsys):
-    rc1 = cli.main(["verify", "--n-list", "1,2", "--trials", "2", "--seed", "3"])
-    out1 = capsys.readouterr().out
-    rc2 = cli.main(
-        ["verify", "--n-list", "1,2", "--trials", "2", "--seed", "3", "--jobs", "2"]
-    )
-    out2 = capsys.readouterr().out
-    assert rc1 == rc2 == cli.EXIT_OK
-    assert out1 == out2
-
-
 def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(verify, "THRESHOLD_LAX_GENERATOR", -1.0)
     rc = cli.main(["verify", "--n-list", "1,2", "--trials", "2"])
@@ -346,7 +382,10 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_verify_bad_arguments(capsys):
     assert cli.main(["verify", "--n-list", "1,x"]) == cli.EXIT_CONFIG
-    assert cli.main(["verify", "--jobs", "0"]) == cli.EXIT_CONFIG
+    # the battery runs serially in one process, so there is no --jobs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--jobs", "2"])
+    assert exc.value.code == cli.EXIT_CONFIG
     capsys.readouterr()
 
 
@@ -370,6 +409,17 @@ def test_gradient_check_refuses_repeated_eps(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "configuration error: eps values must be distinct, got (0.001, 0.001)\n"
+
+
+def test_gradient_check_refuses_a_single_eps(capsys):
+    # one eps fits no order: the check printed "mean convergence order = nan"
+    # and exited 0 without testing any order
+    assert cli.main(["gradient-check", "--eps", "1e-3", "--trials", "1"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: a convergence order needs at least two eps values, got (0.001,)\n"
+    )
 
 
 @pytest.mark.parametrize("n", ["1", "0"])
@@ -514,8 +564,8 @@ def test_gradient_check_without_a_workable_spectrum_exits_4(monkeypatch, capsys)
 
 
 def test_simulate_start_does_not_load_the_battery(tmp_path):
-    # simulate and spectrum never import verify, its process pool, or the
-    # pool's import chain; verify loads them on demand
+    # simulate and spectrum never import verify, which only verify and
+    # gradient-check load; no command starts or imports a process pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     script = f"""
@@ -535,5 +585,5 @@ print("loaded after verify:", [m for m in heavy if m in sys.modules])
     )
     assert proc.returncode == 0, proc.stderr
     assert "loaded after simulate: []" in proc.stdout
-    assert "loaded after verify: ['volterra_lab.verify', 'concurrent.futures', 'multiprocessing']" in proc.stdout
+    assert "loaded after verify: ['volterra_lab.verify']" in proc.stdout
     assert "overall: PASS" in proc.stdout

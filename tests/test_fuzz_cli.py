@@ -1,9 +1,11 @@
-"""Bounded fuzzing of ``simulate`` over flags and config-file text.
+"""Bounded fuzzing of ``simulate`` and ``spectrum`` over flags and config-file text.
 
-Every example must end in exit 0 with a parseable output file, or in exit 2
-or 3 with one line on stderr, no output file and no warning.  Runs are kept
-short (at most 6 sites, windows of at most 2, rk4 steps of at least 0.01)
-so the whole test takes a few seconds.
+Flags and file lines draw their values from the same generators, malformed
+ones included, since both go through one parser per key.  Every example
+must end in exit 0 with a parseable output file or spectrum table, or in
+exit 2 or 3 with one line on stderr, no output and no warning.  Runs are
+kept short (at most 6 sites, windows of at most 2, rk4 steps of at least
+0.01) so each test takes a few seconds.
 """
 
 import contextlib
@@ -37,6 +39,8 @@ _SITES = st.lists(
     _mostly(st.floats(1e-3, 1e2).map(repr), ["0", "-1", "nan", "inf", "1e300", "x"]),
     min_size=1, max_size=5,
 ).map(",".join)
+_SEED = st.integers(-5, 2**70).map(str)
+_N = _mostly(st.integers(1, 6).map(str), ["0", "2.5", ""])
 
 # The run settings besides the state; "out" is left out, the test owns the path.
 _SETTINGS = {
@@ -63,9 +67,9 @@ def _config_text(draw):
     if state in ("u0", "both"):
         lines.append(f"u0 = {draw(_SITES)}")
     if state in ("seed", "both", "seed only"):
-        lines.append(f"seed = {draw(st.integers(-5, 2**70))}")
+        lines.append(f"seed = {draw(_SEED)}")
     if state in ("seed", "both"):
-        lines.append(f"n = {draw(_mostly(st.integers(1, 6).map(str), ['0', '2.5', '']))}")
+        lines.append(f"n = {draw(_N)}")
     for key, values in _SETTINGS.items():
         if draw(st.booleans()):
             lines.append(f"{key} = {draw(values)}")
@@ -75,19 +79,21 @@ def _config_text(draw):
     return "\n".join(lines) + "\n"
 
 
-# Flags argparse accepts; a flag wins over the same key in the file.
-_FLAGS = st.lists(
-    st.one_of(
-        st.sampled_from([
-            ["--u0", "1,2,3"], ["--seed", "7"], ["--n", "4"], ["--spectra"], ["--no-spectra"],
-            ["--format", "jsonl"], ["--method", "adaptive45"], ["--form", "lax"],
-            ["--form", "bracket"], ["--sigma", "1"], ["--record-every", "2"],
-        ]),
-        st.floats(-0.5, 1.0, allow_nan=False).map(lambda x: [f"--t1={x!r}"]),
-        st.floats(1e-2, 1.0).map(lambda x: ["--h0", repr(x)]),
-    ),
-    max_size=4,
-)
+_FLAG_VALUES = {"u0": _SITES, "seed": _SEED, "n": _N, **_SETTINGS}
+
+
+@st.composite
+def _flags(draw, command):
+    # A flag wins over the same key in the file.  "--key=text" keeps a text
+    # that starts with "-" a value; --spectra takes no text.
+    keys = [k for k in _FLAG_VALUES if command == "simulate" or k not in ("format", "spectra")]
+    flags = []
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        if key == "spectra":
+            flags.append(draw(st.sampled_from(["--spectra", "--no-spectra"])))
+        else:
+            flags.append(f"--{key.replace('_', '-')}={draw(_FLAG_VALUES[key])}")
+    return flags
 
 
 def _check_output(path, n_samples):
@@ -103,30 +109,52 @@ def _check_output(path, n_samples):
     assert len(rows) == n_samples
 
 
+def _run(argv):
+    """Exit code and stdout of cli.main(argv); a failure must print one coded line."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    err = stderr.getvalue()
+    if rc == cli.EXIT_OK:
+        assert err == ""
+    else:
+        assert rc in (cli.EXIT_CONFIG, cli.EXIT_INTEGRATION), (rc, err)
+        prefix = "configuration error: " if rc == cli.EXIT_CONFIG else "integration failure: "
+        assert err.startswith(prefix) and len(err.splitlines()) == 1, err
+        assert stdout.getvalue() == ""
+    return rc, stdout.getvalue()
+
+
 @settings(max_examples=100, deadline=None, database=None)
-@given(text=_config_text(), flags=_FLAGS)
+@given(text=_config_text(), flags=_flags("simulate"))
 def test_simulate_ends_in_a_file_or_one_coded_line(text, flags):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         out = os.path.join(tmp, "out")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
-        argv = ["simulate", "--config", cfg, *[a for flag in flags for a in flag], "--out", out]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = cli.main(argv)
-        assert not caught, [str(w.message) for w in caught]
-        err = stderr.getvalue()
+        rc, stdout = _run(["simulate", "--config", cfg, *flags, "--out", out])
         if rc == cli.EXIT_OK:
-            assert err == ""
-            last = stdout.getvalue().splitlines()[-1]
+            last = stdout.splitlines()[-1]
             assert last.startswith("wrote ") and last.endswith(f" samples to {out}")
             _check_output(out, int(last.split()[1]))
         else:
-            assert rc in (cli.EXIT_CONFIG, cli.EXIT_INTEGRATION), (rc, err)
-            prefix = "configuration error: " if rc == cli.EXIT_CONFIG else "integration failure: "
-            assert err.startswith(prefix) and len(err.splitlines()) == 1, err
-            assert stdout.getvalue() == ""
             assert not os.path.exists(out)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(text=_config_text(), flags=_flags("spectrum"))
+def test_spectrum_ends_in_a_table_or_one_coded_line(text, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        rc, stdout = _run(["spectrum", "--config", cfg, *flags])
+    if rc == cli.EXIT_OK:
+        rows = stdout.splitlines()
+        assert rows[-1].startswith("max drift = ")
+        # a header, one row per eigenvalue of the (N + 1)-square L, the summary
+        assert all(len(row.split()) == 5 for row in rows[1:-1]) and len(rows) >= 4

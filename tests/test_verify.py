@@ -22,12 +22,6 @@ def test_battery_is_deterministic():
     assert a.redraws == b.redraws
 
 
-def test_jobs_do_not_change_residuals():
-    serial = verify.run_verification((1, 2), trials=2, seed=4, jobs=1)
-    parallel = verify.run_verification((1, 2), trials=2, seed=4, jobs=2)
-    assert [c.residual for c in serial.checks] == [c.residual for c in parallel.checks]
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         verify.run_verification((), trials=3, seed=1)
@@ -72,50 +66,12 @@ def test_battery_runs_the_default_calibration_once(monkeypatch):
     assert report.discrepancy == dict(real().discrepancy)
 
 
-def test_jobs_are_capped_by_cpus_and_chunks(monkeypatch):
-    created = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    serial = verify.check_lax_generator((1, 2), trials=20, seed=1)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    # 40 tasks make 3 chunks of at most 16
-    assert verify.check_lax_generator((1, 2), trials=20, seed=1, jobs=64) == serial
-    assert verify.check_lax_generator((1, 2), trials=20, seed=1, jobs=2) == serial
-    # one chunk runs in this process, whatever jobs asks for
-    verify.check_lax_generator((1,), trials=1, seed=1, jobs=6)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    verify.check_lax_generator((1, 2, 3), trials=30, seed=1, jobs=8)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-    verify.check_lax_generator((1, 2), trials=20, seed=1, jobs=8)
-    assert created == [3, 2, 2]
-
-
-def test_process_pool_matches_serial_sweep():
-    # 33 tasks are 3 chunks, so a two-CPU host runs this sweep on 2 workers
-    serial = verify.check_chain_equality((1, 2, 3), trials=11, seed=4)
-    assert verify.check_chain_equality((1, 2, 3), trials=11, seed=4, jobs=2) == serial
-
-
 def test_trajectory_accuracy_against_the_two_site_closed_form():
     check = verify.check_trajectory_accuracy(trials=4, seed=3)
     assert check.name == "trajectory-accuracy"
     assert check.passed
     assert check.trials == 4
     assert check.residual <= verify.THRESHOLD_TRAJECTORY
-    assert verify.check_trajectory_accuracy(trials=4, seed=3, jobs=2) == check
 
 
 def test_trajectory_accuracy_fails_an_endpoint_off_by_1e_7(monkeypatch):
