@@ -10,7 +10,9 @@ the closed-form directional derivative.  Only ``verify`` and
 
 Runs are configured by a flat key=value file (``#`` starts a comment) with
 every key also a flag that the same parser reads; flags win.  Keys named after
-``IntegratorConfig`` fields build one, and it holds their defaults.  On one
+``IntegratorConfig`` fields build one, and it holds their defaults.  The
+orientation of the matrix forms is not a setting: it is the constant
+``lattice.CALIBRATED_SIGN``, which ``verify`` re-derives.  On one
 machine the t, u and f columns are a byte-deterministic function of the
 configuration and seed.  Across machines they stay byte-identical for rk4
 runs of every form: no field makes a BLAS call, and the bracket's one BLAS
@@ -105,7 +107,7 @@ def _parse_floats(text: str, key: str) -> tuple:
 
 
 # key -> (parser of its text in a file or a flag, help).  IntegratorConfig and
-# _validate_run_keys check method, form, sigma and format.
+# _validate_run_keys check method, form and format.
 _RUN_KEYS = {
     "n": (int, "number of sites"),
     "u0": (lambda v: _parse_floats(v, "u0"), "comma-separated initial sites, e.g. 1,2,3"),
@@ -115,7 +117,6 @@ _RUN_KEYS = {
     "h0": (float, "step size, or initial step (default 1e-3)"),
     "method": (str, "integration scheme, rk4 or adaptive45 (default rk4)"),
     "form": (str, f"right-hand-side form, one of {', '.join(lattice.FORMS)} (default direct)"),
-    "sigma": (int, "orientation of the matrix forms, 1 or -1 (default calibrated)"),
     "tol_abs": (float, "absolute tolerance"),
     "tol_rel": (float, "relative tolerance"),
     "record_every": (int, "sampling stride in accepted steps (default 1)"),
@@ -125,10 +126,10 @@ _RUN_KEYS = {
 }
 
 
-def _parse_value(key: str, text: str, where: str = ""):
+def _parse_value(parse, key: str, text: str, where: str = ""):
     """Parse the text of one key; ``where`` prefixes a bad-value message."""
     try:
-        return _RUN_KEYS[key][0](text)
+        return parse(text)
     except ConfigError:
         raise
     except ValueError:
@@ -154,18 +155,18 @@ def read_config_file(path: str) -> dict:
         value = value.strip()
         if key not in _RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, value, f"{path}:{lineno}: ")
+        values[key] = _parse_value(_RUN_KEYS[key][0], key, value, f"{path}:{lineno}: ")
     return values
 
 
 def build_run_config(ns: argparse.Namespace) -> RunConfig:
     """Merge defaults, the config file, and flags (flags win)."""
     merged = read_config_file(ns.config) if ns.config is not None else {}
-    for key in _RUN_KEYS:
+    for key, (parse, _) in _RUN_KEYS.items():
         value = getattr(ns, key, None)
         if value is not None:
             # --spectra/--no-spectra arrives as a bool, every other flag as text
-            merged[key] = value if isinstance(value, bool) else _parse_value(key, value)
+            merged[key] = value if isinstance(value, bool) else _parse_value(parse, key, value)
     settings = {f.name: merged.pop(f.name) for f in fields(IntegratorConfig) if f.name in merged}
     _validate_run_keys(merged)
     try:
@@ -249,7 +250,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     record = integrate(cfg.integrator, cfg.initial_state())
     first = record.spectra[0]
     last = record.spectra[-1]
-    drift = np.abs(record.spectra - first).max(axis=0)
+    drift = invariant_report(record).eigenvalue_drift
     # One dense eigensolve per endpoint checks the sampled (SVD) spectra.
     dense = [
         symmetric_eigen(lattice.lax_from_state(lattice.LatticeState(u)).densify()).eigenvalues
@@ -360,14 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the identity battery")
     ver.add_argument("--n-list", dest="n_list", default="1,2,3,5,8",
                      help="comma-separated site counts (default 1,2,3,5,8)")
-    ver.add_argument("--trials", type=int, default=25, help="trials per site count")
-    ver.add_argument("--seed", type=int, default=1, help="battery seed")
+    # The int flags of verify and gradient-check carry text that main parses,
+    # so a bad value gets one configuration-error line.
+    ver.add_argument("--trials", default="25", help="trials per site count")
+    ver.add_argument("--seed", default="1", help="battery seed")
 
     gc = sub.add_parser("gradient-check",
                         help="finite-difference check of the directional derivative")
-    gc.add_argument("--n", type=int, default=6, help="number of sites, at least 2")
-    gc.add_argument("--trials", type=int, default=5, help="independent trials")
-    gc.add_argument("--seed", type=int, default=1, help="trial seed")
+    gc.add_argument("--n", default="6", help="number of sites, at least 2")
+    gc.add_argument("--trials", default="5", help="independent trials")
+    gc.add_argument("--seed", default="1", help="trial seed")
     gc.add_argument("--eps", default="1e-3,1e-4,1e-5",
                     help="comma-separated offsets (default 1e-3,1e-4,1e-5)")
     return parser
@@ -381,16 +384,18 @@ def main(argv=None) -> int:
             return cmd_simulate(build_run_config(ns))
         if ns.command == "spectrum":
             return cmd_spectrum(build_run_config(ns))
+        trials = _parse_value(int, "trials", ns.trials)
+        seed = _parse_value(int, "seed", ns.seed)
         if ns.command == "verify":
             try:
                 n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok.strip())
             except ValueError:
                 raise ConfigError(f"bad n-list {ns.n_list!r}") from None
-            if not n_list or min(n_list) < 1 or ns.trials < 1:
+            if not n_list or min(n_list) < 1 or trials < 1:
                 raise ConfigError("need n-list entries >= 1 and trials >= 1")
-            return cmd_verify(n_list, ns.trials, ns.seed)
+            return cmd_verify(n_list, trials, seed)
         eps_list = _parse_floats(ns.eps, "eps")
-        return cmd_gradient_check(ns.n, ns.trials, ns.seed, eps_list)
+        return cmd_gradient_check(_parse_value(int, "n", ns.n), trials, seed, eps_list)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,6 +12,9 @@ one for the start.  An attempt stacks its stages as the rows of one (7, N)
 array; each stage combination is one multiply by a cached (s, N) tableau
 block and one row-sum in index order, the bits of the written-out sum.
 
+The matrix forms always run in lattice.CALIBRATED_SIGN, so every form
+descends f, and the invariant report counts each rise of f as a violation.
+
 Positivity of u is an invariant of the exact flow, so a step that leaves the
 positive cone is numerical damage: the adaptive loop rejects it and halves
 the step, the fixed-step loop aborts with a diagnostic.
@@ -40,10 +43,8 @@ import numpy as np
 # here; the traced benchmark run wraps them on this module (ROADMAP item 1).
 from .core import symmetric_eigen, trace_power  # noqa: F401
 from .lattice import (  # noqa: F401
-    CALIBRATED_SIGN,
     FORMS,
     LatticeState,
-    _check_sign,
     _lax_spectra,
     _require_finite_positive,
     _state_view,
@@ -128,7 +129,6 @@ class IntegratorConfig:
 
     method: str = "rk4"
     form: str = "direct"
-    sigma: int = CALIBRATED_SIGN
     t0: float = 0.0
     t1: float = 1.0
     h0: float = 1e-3
@@ -141,7 +141,6 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}, expected one of {FORMS}")
-        _check_sign(self.sigma)
         for name in ("t0", "t1", "h0", "tol_abs", "tol_rel"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -164,7 +163,6 @@ class IntegratorConfig:
 class TrajectoryRecord:
     """Sampled trajectory with invariant data at each sample."""
 
-    config: IntegratorConfig
     times: np.ndarray
     states: np.ndarray
     f_values: np.ndarray
@@ -238,8 +236,8 @@ def _controller_factor(err_est: float) -> float:
     return min(_GROW_MAX, max(_SHRINK_MIN, _SAFETY * err_est ** -0.2))
 
 
-def _raw_field(config: IntegratorConfig):
-    if config.form == "direct":
+def _raw_field(form: str):
+    if form == "direct":
         return _volterra_raw
 
     # Each stage array is checked once, here, and then wrapped without a
@@ -249,7 +247,7 @@ def _raw_field(config: IntegratorConfig):
             _require_finite_positive(u, "site variables")
         except ValueError as exc:
             raise _StageDomainError(str(exc)) from exc
-        return pushforward_rhs(_state_view(u), config.form, config.sigma)
+        return pushforward_rhs(_state_view(u), form)
 
     return field
 
@@ -276,7 +274,7 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
 
 
 def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
-    field = _raw_field(config)
+    field = _raw_field(config.form)
     span = config.t1 - config.t0
     eps_t = 1e-12 * span
 
@@ -381,7 +379,6 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     tr4 = 2.0 * np.sum(u_all * u_all, axis=1)
     tr4 += 4.0 * np.sum(u_all[:, :-1] * u_all[:, 1:], axis=1)
     return TrajectoryRecord(
-        config=config,
         times=np.array(times),
         states=u_all,
         f_values=np.sum(u_all * (np.arange(3, 2 * n + 2, 2) / 4.0), axis=1),
@@ -402,18 +399,15 @@ class InvariantSummary:
     f_initial: float
     f_final: float
     f_violations: int
-    descent_expected: bool
 
 
 def invariant_report(record: TrajectoryRecord) -> InvariantSummary:
     """Summarize conservation along a trajectory.
 
     Eigenvalues are matched by sorted order against the first sample.  The
-    violation count compares consecutive f samples against the monotone
-    direction the form and sign imply (the direct flow descends; a matrix
-    form descends when its sign matches CALIBRATED_SIGN), with slack
-    _MONOTONE_SLACK * (1 + |f(t0)|) = 1e-9 * (1 + |f(t0)|) for the
-    integrator's local error on plateaus.
+    violation count is the number of consecutive f samples that rise, since
+    every form descends f, with slack _MONOTONE_SLACK * (1 + |f(t0)|) =
+    1e-9 * (1 + |f(t0)|) for the integrator's local error on plateaus.
     """
     drift = np.abs(record.spectra - record.spectra[0]).max(axis=0)
     # A finite u can have an infinite tr L^4 (one site of 1e300 never moves);
@@ -425,26 +419,17 @@ def invariant_report(record: TrajectoryRecord) -> InvariantSummary:
         }
     f = record.f_values
     slack = _MONOTONE_SLACK * (1.0 + abs(float(f[0])))
-    cfg = record.config
-    descent = cfg.form == "direct" or cfg.sigma == CALIBRATED_SIGN
-    deltas = np.diff(f)
-    if descent:
-        violations = int(np.sum(deltas > slack))
-    else:
-        violations = int(np.sum(deltas < -slack))
     return InvariantSummary(
         eigenvalue_drift=drift,
         max_eigenvalue_drift=float(drift.max()),
         trace_drift=trace_drift,
         f_initial=float(f[0]),
         f_final=float(f[-1]),
-        f_violations=violations,
-        descent_expected=descent,
+        f_violations=int(np.sum(np.diff(f) > slack)),
     )
 
 
 def format_invariant_summary(summary: InvariantSummary, record: TrajectoryRecord) -> str:
-    direction = "nonincreasing" if summary.descent_expected else "nondecreasing"
     lines = [
         f"samples = {record.n_samples}, steps accepted = {record.accepted_steps}, "
         f"rejected = {record.rejected_steps}",
@@ -452,6 +437,6 @@ def format_invariant_summary(summary: InvariantSummary, record: TrajectoryRecord
         "trace drift: "
         + ", ".join(f"tr L^{k} {summary.trace_drift[k]:.3e}" for k in TRACE_POWERS),
         f"f: {summary.f_initial:.17g} -> {summary.f_final:.17g} "
-        f"({direction}, violations = {summary.f_violations})",
+        f"(nonincreasing, violations = {summary.f_violations})",
     ]
     return "\n".join(lines)

@@ -16,7 +16,11 @@ entries where it can fail.
 
 Orientation of the commutator forms relative to the direct equations is an
 empirical constant of the construction, fixed once by ``calibrate_sign`` and
-recorded as CALIBRATED_SIGN.
+recorded as CALIBRATED_SIGN.  The pushforward always applies it, so every
+form runs the one flow that descends f; only the dense ``lax_rhs`` and the
+oracle ``geometry.gradient_flow_identity_check`` take a sign.  Reflecting
+the sites negates the direct field, so the time-reversed flow is the flow
+from the reflected state, read in reverse site order.
 """
 
 from __future__ import annotations
@@ -196,13 +200,6 @@ def _off_band(n1: int) -> np.ndarray:
     return mask
 
 
-def _lax_commutator(c: np.ndarray) -> np.ndarray:
-    # [L, A]; the sign sigma is applied by the callers.
-    dense = _dense_lax(c)
-    a = _generator(c)
-    return dense @ a - a @ dense
-
-
 def _commutator_superdiagonal(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     # First superdiagonal of [L, X] in O(N), for X with x on its second
     # superdiagonal, -x on its second subdiagonal and zeros elsewhere.  There
@@ -341,16 +338,19 @@ def _check_sign(sigma) -> int:
 
 def lax_rhs(L: LaxMatrix, sigma: int) -> np.ndarray:
     """Commutator right-hand side sigma * [L, A] in dense form."""
-    return _check_sign(sigma) * _lax_commutator(L.c)
+    sigma = _check_sign(sigma)
+    dense = _dense_lax(L.c)
+    a = _generator(L.c)
+    return sigma * (dense @ a - a @ dense)
 
 
-def pushforward_rhs(s: LatticeState, form: str, sigma: int = CALIBRATED_SIGN) -> np.ndarray:
+def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
     """du/dt computed through the requested form.
 
     The matrix forms advance the couplings, du_i = 2 c_i dc_i with dc_i read
-    off the first superdiagonal of the matrix field, so all forms report the
-    motion in the same coordinates.  Multiplying by sigma is exact, so it is
-    folded into the factor 2 rather than applied to the field.  Both
+    off the first superdiagonal of CALIBRATED_SIGN times the matrix field, so
+    all forms report the same motion in the same coordinates.  Multiplying
+    by the sign is exact, so it is folded into the factor 2.  Both
     superdiagonals are computed in O(N) and equal those of ``lax_rhs`` and
     ``double_bracket_field`` bit for bit; the bracket form raises
     InternalConsistencyError where the dense field's tangency check would,
@@ -358,7 +358,6 @@ def pushforward_rhs(s: LatticeState, form: str, sigma: int = CALIBRATED_SIGN) ->
     """
     if form == "direct":
         return _volterra_raw(s.u)
-    sigma = _check_sign(sigma)
     c = np.sqrt(s.u)
     if form == "lax":
         sup = _commutator_superdiagonal(c, _generator_entries(c))
@@ -367,8 +366,8 @@ def pushforward_rhs(s: LatticeState, form: str, sigma: int = CALIBRATED_SIGN) ->
     else:
         raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
     # (2 sigma c) sup has the bits of (2 c)(sigma sup): scaling by 2 and by
-    # sigma is exact and rounding is symmetric in sign.
-    return (2.0 * sigma) * c * sup
+    # the sign sigma is exact and rounding is symmetric in sign.
+    return (2.0 * CALIBRATED_SIGN) * c * sup
 
 
 @dataclass(frozen=True)
@@ -390,16 +389,19 @@ def calibrate_sign(state: LatticeState | None = None) -> SignCalibration:
     Both candidate signs drive the Lax-form field from the same initial
     state with the same fixed-step fourth-order scheme used against the
     direct equations; the sign whose trajectory tracks the direct one is
-    the orientation of the construction.  The margin is many orders of
+    the orientation of the construction.  The candidates are the calibrated
+    field and its negation, which is exact, so each has the bits of the
+    sign times [L, A] pushed forward.  The margin is many orders of
     magnitude, so the answer does not depend on the step count.
     """
-    from .integrate import IntegratorConfig, _raw_field, _rk4_raw
+    from .integrate import _raw_field, _rk4_raw
 
     if state is None:
         state = LatticeState((1.0, 1.0))
     n_steps = 200
     h = 0.1 / n_steps
-    lax_field = {sig: _raw_field(IntegratorConfig(form="lax", sigma=sig)) for sig in (+1, -1)}
+    calibrated = _raw_field("lax")
+    lax_field = {CALIBRATED_SIGN: calibrated, -CALIBRATED_SIGN: lambda u: -calibrated(u)}
     u_direct = state.u.copy()
     u_lax = {+1: state.u.copy(), -1: state.u.copy()}
     disc = {+1: 0.0, -1: 0.0}

@@ -160,7 +160,7 @@ def _trial_equivalence(seed: int, n: int, trial: int):
     scale = 1.0 + float(np.abs(reference).max())
     worst = 0.0
     for form in ("lax", "bracket"):
-        out = lattice.pushforward_rhs(s, form, lattice.CALIBRATED_SIGN)
+        out = lattice.pushforward_rhs(s, form)
         gap = max(float(np.abs(out - reference).max()), _dense_gap(s, form, out))
         worst = max(worst, gap / scale)
     return worst, 0

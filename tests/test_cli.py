@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -167,6 +168,20 @@ def test_positivity_guard_cannot_be_switched_off(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_the_orientation_cannot_be_set(tmp_path, capsys):
+    # the matrix forms always run in lattice.CALIBRATED_SIGN
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--u0", "1,1", "--form", "lax", "--sigma", "1", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("u0 = 1,1\nsigma = -1\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {cfg}:2: unknown key 'sigma'\n"
+    assert not out.exists()
+
+
 def test_readme_config_table_lists_the_accepted_keys():
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
     with open(readme, encoding="utf-8") as fh:
@@ -202,7 +217,7 @@ def test_readme_examples_run(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("u0", "1,x"), ("n", "x"), ("method", "euler"), ("format", "xml"), ("sigma", "0"),
+    [("u0", "1,x"), ("n", "x"), ("method", "euler"), ("format", "xml"),
      ("record_every", "1.5"), ("t1", "abc")],
 )
 def test_bad_flag_gets_the_config_file_message(tmp_path, capsys, key, value):
@@ -387,6 +402,20 @@ def test_verify_bad_arguments(capsys):
         cli.main(["verify", "--jobs", "2"])
     assert exc.value.code == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("verify", "trials", "x"), ("verify", "seed", "1.5"), ("gradient-check", "n", "2.5"),
+     ("gradient-check", "trials", "x"), ("gradient-check", "seed", "y")],
+)
+def test_bad_int_flag_is_one_configuration_error(capsys, command, key, value):
+    # these flags printed argparse's usage block; now they share the
+    # one-line message of a bad run flag
+    assert cli.main([command, f"--{key}", value]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: bad value for {key}: {value!r}\n"
 
 
 def test_gradient_check_command(capsys):
@@ -587,3 +616,31 @@ print("loaded after verify:", [m for m in heavy if m in sys.modules])
     assert "loaded after simulate: []" in proc.stdout
     assert "loaded after verify: ['volterra_lab.verify']" in proc.stdout
     assert "overall: PASS" in proc.stdout
+
+
+def test_benchmark_tracer_still_finds_what_it_wraps(tmp_path, capsys):
+    # perfbench/tracing.py wraps package functions by name and reads the form
+    # from pushforward_rhs's second argument; a rename or a moved argument
+    # would leave its per-layer metrics at 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = (cli.main, cli.integrate, itg_module.pushforward_rhs)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        for form in ("lax", "bracket"):
+            argv = ["simulate", "--u0", "1,2,0.5", "--form", form, "--method", "adaptive45",
+                    "--t1", "0.5", "--out", str(tmp_path / f"{form}.csv")]
+            assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracing.summarize(tracer)[0]
+    for name in ("lattice.rhs.lax", "lattice.rhs.bracket", "integrate.integrate", "cli.main"):
+        assert calls[name] > 0, name
+    assert calls["integrate.integrate"] == 2
+    assert (cli.main, cli.integrate, itg_module.pushforward_rhs) == wrapped

@@ -1,11 +1,14 @@
-"""Bounded fuzzing of ``simulate`` and ``spectrum`` over flags and config-file text.
+"""Bounded fuzzing of every command over flags and config-file text.
 
-Flags and file lines draw their values from the same generators, malformed
-ones included, since both go through one parser per key.  Every example
-must end in exit 0 with a parseable output file or spectrum table, or in
-exit 2 or 3 with one line on stderr, no output and no warning.  Runs are
-kept short (at most 6 sites, windows of at most 2, rk4 steps of at least
-0.01) so each test takes a few seconds.
+For ``simulate`` and ``spectrum``, flags and file lines draw their values
+from the same generators, malformed ones included, since both go through
+one parser per key.  Every example must end in exit 0 with a parseable
+output file or spectrum table, or in exit 2 or 3 with one line on stderr,
+no output and no warning.  ``verify`` and ``gradient-check`` draw malformed
+and small valid flag values; they may also end in exit 4, with their table
+or one line on stderr.  Runs are kept short (at most 6 sites, windows of at
+most 2, rk4 steps of at least 0.01; at most 3 battery sizes of at most 3
+sites and 2 trials) so each test takes a few seconds.
 """
 
 import contextlib
@@ -49,7 +52,6 @@ _SETTINGS = {
     "h0": _floats(1e-2, 1.0),
     "method": _mostly(["rk4", "adaptive45"], ["euler"]),
     "form": _mostly(["direct", "lax", "bracket"], ["matrix"]),
-    "sigma": _mostly(["1", "-1"], ["0", "2", "one"]),
     "tol_abs": _floats(1e-10, 1e-3),
     "tol_rel": _floats(1e-10, 1e-3),
     "record_every": _mostly(st.integers(1, 4).map(str), ["0", "-1", "1.5"]),
@@ -109,7 +111,14 @@ def _check_output(path, n_samples):
     assert len(rows) == n_samples
 
 
-def _run(argv):
+_PREFIX = {
+    cli.EXIT_CONFIG: "configuration error: ",
+    cli.EXIT_INTEGRATION: "integration failure: ",
+    cli.EXIT_VERIFICATION: "verification failure: ",
+}
+
+
+def _run(argv, failures=(cli.EXIT_CONFIG, cli.EXIT_INTEGRATION)):
     """Exit code and stdout of cli.main(argv); a failure must print one coded line."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
@@ -121,10 +130,12 @@ def _run(argv):
     if rc == cli.EXIT_OK:
         assert err == ""
     else:
-        assert rc in (cli.EXIT_CONFIG, cli.EXIT_INTEGRATION), (rc, err)
-        prefix = "configuration error: " if rc == cli.EXIT_CONFIG else "integration failure: "
-        assert err.startswith(prefix) and len(err.splitlines()) == 1, err
-        assert stdout.getvalue() == ""
+        assert rc in failures, (rc, err)
+        # a check that runs and fails prints its table and nothing on stderr
+        if err or rc != cli.EXIT_VERIFICATION:
+            assert err.startswith(_PREFIX[rc]) and len(err.splitlines()) == 1, err
+        if rc != cli.EXIT_VERIFICATION:
+            assert stdout.getvalue() == ""
     return rc, stdout.getvalue()
 
 
@@ -158,3 +169,55 @@ def test_spectrum_ends_in_a_table_or_one_coded_line(text, flags):
         assert rows[-1].startswith("max drift = ")
         # a header, one row per eigenvalue of the (N + 1)-square L, the summary
         assert all(len(row.split()) == 5 for row in rows[1:-1]) and len(rows) >= 4
+
+
+def _count(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), ["x", "2.5", "", "0", "-1"])
+
+
+_BATTERY_SEED = _mostly(st.integers(-5, 2**70).map(str), ["y", "1.5", ""])
+_N_LIST = _mostly(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+    ["x", "", "0", "1,x", "2.5", ","],
+)
+_EPS = _mostly(
+    st.lists(st.sampled_from(["1e-2", "1e-3", "1e-4", "1e-5"]), min_size=2, max_size=3,
+             unique=True).map(",".join),
+    ["", "x", "1e-3", "1e-3,1e-3", "0.5,1e-3", "nan,1e-3", "0,1e-3"],
+)
+_BATTERY_FLAGS = {
+    "verify": {"n-list": _N_LIST, "trials": _count(1, 2), "seed": _BATTERY_SEED},
+    "gradient-check": {"n": _count(2, 5), "trials": _count(1, 2), "seed": _BATTERY_SEED,
+                       "eps": _EPS},
+}
+
+
+@st.composite
+def _battery_argv(draw, command):
+    # A flag left out keeps its default, except the sizes, which are always
+    # drawn so that a run stays small.
+    flags = _BATTERY_FLAGS[command]
+    sizes = ("n-list", "trials") if command == "verify" else ("n", "trials")
+    keys = [k for k in flags if k in sizes or draw(st.booleans())]
+    return [command, *(f"--{key}={draw(flags[key])}" for key in keys)]
+
+
+def _battery_ends_in_a_report_or_one_coded_line(argv):
+    failures = (cli.EXIT_CONFIG, cli.EXIT_VERIFICATION)
+    rc, stdout = _run(argv, failures)
+    if rc == cli.EXIT_OK:
+        last = stdout.splitlines()[-1]
+        assert last == "overall: PASS" or last.startswith("mean convergence order = ")
+
+
+# A valid verify takes about 0.25 s even at these sizes.
+@settings(max_examples=10, deadline=None, database=None)
+@given(argv=_battery_argv("verify"))
+def test_verify_ends_in_a_report_or_one_coded_line(argv):
+    _battery_ends_in_a_report_or_one_coded_line(argv)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(argv=_battery_argv("gradient-check"))
+def test_gradient_check_ends_in_a_report_or_one_coded_line(argv):
+    _battery_ends_in_a_report_or_one_coded_line(argv)

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import dataclasses
 import importlib
+import inspect
 import warnings
 
 # the package re-exports the integrate() function over the submodule name,
@@ -23,8 +25,6 @@ def test_config_validation():
         itg.IntegratorConfig(method="euler")
     with pytest.raises(ValueError):
         itg.IntegratorConfig(form="matrix")
-    with pytest.raises(ValueError):
-        itg.IntegratorConfig(sigma=0)
     with pytest.raises(ValueError):
         itg.IntegratorConfig(t0=1.0, t1=1.0)
     with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ def test_rk4_step_validation_and_errors(monkeypatch):
         itg.integrate(one_step, _state(1.0))
     # strong decay drives a stage negative at this step size; a matrix form
     # validates its stage states
-    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form, sigma: -100.0 * s.u)
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form: -100.0 * s.u)
     cfg = itg.IntegratorConfig(method="rk4", form="lax", t1=0.1, h0=0.1)
     with pytest.raises(itg.PositivityAbortError, match="stage left the state domain"):
         itg.integrate(cfg, _state(1.0))
@@ -132,7 +132,7 @@ def test_adaptive_step_rejects_at_tight_tolerance(monkeypatch):
 def test_adaptive_step_stage_domain_counts_as_rejection(monkeypatch):
     # strong decay drives a stage negative until h is small enough; each
     # such attempt is a rejection at half the step
-    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form, sigma: -100.0 * s.u)
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form: -100.0 * s.u)
     attempts = _spy_attempts(monkeypatch)
     cfg = itg.IntegratorConfig(
         method="adaptive45", form="lax", t1=0.2, h0=0.2, tol_abs=1e-8, tol_rel=1e-8
@@ -306,7 +306,7 @@ def test_integrate_matches_fresh_first_stage_bit_for_bit(monkeypatch, form, meth
     # a large first step draws both error-estimate and stage-domain
     # rejections, after which the loop must keep its old k1.
     def fresh(u):
-        return lattice.pushforward_rhs(LatticeState(u), form, CALIBRATED_SIGN)
+        return lattice.pushforward_rhs(LatticeState(u), form)
 
     h0 = 0.5 if method == "adaptive45" else 1e-3
     cfg = itg.IntegratorConfig(
@@ -392,7 +392,7 @@ _PINNED_ATTEMPT = {
 
 @pytest.mark.parametrize("form", sorted(_PINNED_ATTEMPT))
 def test_dormand_prince_attempt_bits_are_pinned(form):
-    field = itg._raw_field(itg.IntegratorConfig(method="adaptive45", form=form))
+    field = itg._raw_field(form)
     got = itg._dopri_raw(field, np.array([0.3, 2.0, 5.0, 0.7]), 0.1)
     for name, vec, want in zip(("u5", "err", "k7"), got, _PINNED_ATTEMPT[form]):
         assert tuple(float(x).hex() for x in vec) == want, name
@@ -420,8 +420,8 @@ def test_stacked_stage_sums_keep_the_written_out_order(n):
 @pytest.mark.parametrize("form", ["lax", "bracket"])
 def test_matrix_form_stage_is_checked_once_and_wrapped_without_a_copy(monkeypatch, form):
     seen = []
-    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f, sigma: seen.append(s) or s.u)
-    field = itg._raw_field(itg.IntegratorConfig(form=form))
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f: seen.append(s) or s.u)
+    field = itg._raw_field(form)
     u = np.array([0.5, 2.0])
     field(u)
     (s,) = seen
@@ -472,23 +472,32 @@ def test_invariant_report_conservation_on_flow():
     cfg = itg.IntegratorConfig(method="rk4", t1=5.0, h0=1e-3, record_every=100)
     rec = itg.integrate(cfg, _state(1.0, 1.0))
     summary = itg.invariant_report(rec)
-    assert summary.descent_expected
     assert summary.max_eigenvalue_drift <= 1e-10
     assert all(summary.trace_drift[k] <= 1e-10 for k in itg.TRACE_POWERS)
     assert summary.f_violations == 0
     assert summary.f_final < summary.f_initial
 
 
-def test_invariant_report_ascent_with_flipped_sign():
-    cfg = itg.IntegratorConfig(
-        method="rk4", form="lax", sigma=-CALIBRATED_SIGN, t1=1.0, h0=1e-3,
-        record_every=100,
-    )
-    rec = itg.integrate(cfg, _state(1.0, 1.0))
-    summary = itg.invariant_report(rec)
-    assert not summary.descent_expected
-    assert summary.f_violations == 0
+def test_time_reversed_flow_is_the_flow_on_reflected_sites():
+    # Reflecting the sites negates the direct field (a zero may change its
+    # sign), so the run from the reflected state, read in reverse site
+    # order, is the time-reversed run bit for bit.
+    stream = SplitMix64(substream_seed(47, 0))
+    for n in (1, 2, 3, 8, 33):
+        u = random_state(n, stream)
+        assert np.array_equal(itg._volterra_raw(u[::-1])[::-1], -itg._volterra_raw(u))
+    u0 = np.array([1.0, 2.0, 0.5, 3.0])
+    cfg = itg.IntegratorConfig(method="rk4", t1=1.0, h0=2.0**-10, record_every=128)
+    rec = itg.integrate(cfg, LatticeState(u0[::-1]))
+    backwards = [u0]
+    for _ in range(1024):
+        backwards.append(itg._rk4_raw(lambda u: -itg._volterra_raw(u), backwards[-1], cfg.h0))
+    npt.assert_array_equal(rec.states[:, ::-1], backwards[::128])
+    # f ascends along the reversed run, and the report counts every rise
+    f_back = rec.states[:, ::-1] @ (np.arange(3, 10, 2) / 4.0)
+    summary = itg.invariant_report(dataclasses.replace(rec, f_values=f_back))
     assert summary.f_final > summary.f_initial
+    assert summary.f_violations == rec.n_samples - 1
 
 
 def test_invariant_report_of_an_overflowing_trace_does_not_warn():
@@ -504,10 +513,18 @@ def test_invariant_report_of_an_overflowing_trace_does_not_warn():
     assert summary.max_eigenvalue_drift == 0.0
 
 
+def test_the_orientation_is_a_constant():
+    # every form runs the calibrated flow; no setting selects the reverse
+    with pytest.raises(TypeError):
+        itg.IntegratorConfig(form="lax", sigma=CALIBRATED_SIGN)
+    assert list(inspect.signature(lattice.pushforward_rhs).parameters) == ["s", "form"]
+    assert "descent_expected" not in {f.name for f in dataclasses.fields(itg.InvariantSummary)}
+    assert "config" not in {f.name for f in dataclasses.fields(itg.TrajectoryRecord)}
+    assert not hasattr(itg, "CALIBRATED_SIGN") and not hasattr(itg, "_check_sign")
+
+
 def test_invariant_report_counts_violations():
-    cfg = itg.IntegratorConfig()
     synthetic = itg.TrajectoryRecord(
-        config=cfg,
         times=np.array([0.0, 0.5, 1.0]),
         states=np.ones((3, 2)),
         f_values=np.array([1.0, 1.1, 1.05]),

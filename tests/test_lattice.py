@@ -219,20 +219,20 @@ def test_lax_rhs_sign_and_validation():
 
 def test_pushforward_forms_and_validation():
     s = lattice.LatticeState(np.array([1.0, 1.0]))
-    direct = lattice.pushforward_rhs(s, "direct", lattice.CALIBRATED_SIGN)
+    direct = lattice.pushforward_rhs(s, "direct")
     npt.assert_array_equal(direct, [1.0, -1.0])
     for form in ("lax", "bracket"):
-        via = lattice.pushforward_rhs(s, form, lattice.CALIBRATED_SIGN)
+        via = lattice.pushforward_rhs(s, form)
         npt.assert_allclose(via, direct, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
-        lattice.pushforward_rhs(s, "unknown", -1)
+        lattice.pushforward_rhs(s, "unknown")
 
 
 def test_pushforward_fixed_point():
     s = lattice.LatticeState(np.array([3.7]))
     for form in lattice.FORMS:
         npt.assert_allclose(
-            lattice.pushforward_rhs(s, form, lattice.CALIBRATED_SIGN),
+            lattice.pushforward_rhs(s, form),
             [0.0],
             rtol=0,
             atol=1e-15,
@@ -247,11 +247,11 @@ def test_pushforward_equivalence_sweep():
     for trial in range(200):
         n = 1 + stream.next_u64() % 20
         s = lattice.LatticeState(random_state(n, stream))
-        direct = lattice.pushforward_rhs(s, "direct", lattice.CALIBRATED_SIGN)
+        direct = lattice.pushforward_rhs(s, "direct")
         scale = 1.0 + np.abs(direct).max()
         for form in ("lax", "bracket"):
             gap = np.abs(
-                lattice.pushforward_rhs(s, form, lattice.CALIBRATED_SIGN) - direct
+                lattice.pushforward_rhs(s, form) - direct
             ).max()
             worst_abs = max(worst_abs, gap)
             worst_rel = max(worst_rel, gap / scale)
@@ -264,11 +264,17 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+def _signed_pushforward(s, form, sigma):
+    # sigma * CALIBRATED_SIGN is +1 or -1, so the product is exact
+    return sigma * lattice.CALIBRATED_SIGN * lattice.pushforward_rhs(s, form)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 129])
 def test_pushforward_is_the_public_field_superdiagonal(n):
     # the integrator's pushforward equals 2 c diag(M, 1) bit for bit, where
     # M is the public dense field: the O(N) superdiagonals are exact because
-    # each of their entries is a single product in the dense matmuls
+    # each of their entries is a single product in the dense matmuls.  The
+    # other sign is the exact negation, which calibrate_sign drives.
     stream = SplitMix64(substream_seed(41, n))
     for _ in range(5):
         s = lattice.LatticeState(random_state(n, stream))
@@ -280,7 +286,7 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
             }
             for form, m in fields.items():
                 expected = 2.0 * L.c * np.diagonal(m, 1)
-                got = lattice.pushforward_rhs(s, form, sigma)
+                got = _signed_pushforward(s, form, sigma)
                 assert np.array_equal(_bits(got), _bits(expected))
     # sites log-uniform over 200 decades, far beyond the integrator's range
     rng = np.random.default_rng(substream_seed(43, n))
@@ -289,7 +295,7 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
         L = lattice.lax_from_state(s)
         for sigma in (1, -1):
             expected = 2.0 * L.c * np.diagonal(lattice.lax_rhs(L, sigma), 1)
-            got = lattice.pushforward_rhs(s, "lax", sigma)
+            got = _signed_pushforward(s, "lax", sigma)
             assert np.array_equal(_bits(got), _bits(expected))
     # the dense bracket overflows beyond about 1e70 (||L||^6 entries), so
     # its sweep spans 120 decades
@@ -299,7 +305,7 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
         for sigma in (1, -1):
             m = sigma * lattice.double_bracket_field(L)
             expected = 2.0 * L.c * np.diagonal(m, 1)
-            got = lattice.pushforward_rhs(s, "bracket", sigma)
+            got = _signed_pushforward(s, "bracket", sigma)
             assert np.array_equal(_bits(got), _bits(expected))
 
 
@@ -327,7 +333,7 @@ def test_uneven_diagonal_weights_fail_the_tangency_check(monkeypatch):
     monkeypatch.setattr(lattice, "build_K", lambda n: np.diag(2.0 ** np.arange(n)) / 4.0)
     s = lattice.LatticeState(np.array([1.0, 2.0, 3.0, 0.5]))
     with pytest.raises(lattice.InternalConsistencyError, match="off-band"):
-        lattice.pushforward_rhs(s, "bracket", lattice.CALIBRATED_SIGN)
+        lattice.pushforward_rhs(s, "bracket")
     with pytest.raises(lattice.InternalConsistencyError, match="off-band"):
         lattice.double_bracket_field(lattice.lax_from_state(s))
 
@@ -360,7 +366,7 @@ def test_tangency_check_fires_on_the_pushforward_path(monkeypatch):
     monkeypatch.setattr(lattice, "build_K", lambda n: np.ones((n, n)))
     s = lattice.LatticeState(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(lattice.InternalConsistencyError):
-        lattice.pushforward_rhs(s, "bracket", lattice.CALIBRATED_SIGN)
+        lattice.pushforward_rhs(s, "bracket")
 
 
 def test_sign_calibration_picks_descent():

@@ -95,5 +95,5 @@ def test_pushforwards_match_the_dense_public_fields_exactly():
         for trial in range(5):
             s, _ = verify._draw_state(3, 5, n, trial)
             for form in ("lax", "bracket"):
-                out = lattice.pushforward_rhs(s, form, lattice.CALIBRATED_SIGN)
+                out = lattice.pushforward_rhs(s, form)
                 assert verify._dense_gap(s, form, out) == 0.0
