@@ -279,12 +279,7 @@ def cmd_verify(n_list, trials: int, seed: int) -> int:
             f"{c.name:<{name_w}}  {c.residual:>10.3e}  {c.threshold:>10.0e}  {status}"
             + (f"  ({c.detail})" if c.detail else "")
         )
-    print(
-        f"sigma* = {report.sigma:+d}; trajectory discrepancy "
-        f"{report.discrepancy[report.sigma]:.3e} (chosen) vs "
-        f"{report.discrepancy[-report.sigma]:.3e} (rejected); "
-        f"degenerate redraws = {report.redraws}"
-    )
+    print(f"degenerate redraws = {report.redraws}")
     print("overall: " + ("PASS" if report.passed else "FAIL"))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 

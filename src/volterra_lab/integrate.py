@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,15 @@ class IntegratorConfig:
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}, expected one of {FORMS}")
         for name in ("t0", "t1", "h0", "tol_abs", "tol_rel"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{name} overflows a float") from None
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.t1 > self.t0):
             raise ValueError("need t1 > t0")
         if not (self.h0 > 0.0):
@@ -155,7 +163,8 @@ class IntegratorConfig:
             raise ValueError(f"t1 - t0 overflows: t0 = {self.t0!r}, t1 = {self.t1!r}")
         if not (self.tol_abs > 0.0 and self.tol_rel > 0.0):
             raise ValueError("tolerances must be positive")
-        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError("record_every must be a positive integer")
 
 

@@ -14,11 +14,11 @@ nonzero entry of the dense products there is a single product.  The bracket
 pushforward keeps the tangency check of the dense field, on the only
 entries where it can fail.
 
-Orientation of the commutator forms relative to the direct equations is an
-empirical constant of the construction, fixed once by ``calibrate_sign`` and
-recorded as CALIBRATED_SIGN.  The pushforward always applies it, so every
-form runs the one flow that descends f; only the dense ``lax_rhs`` and the
-oracle ``geometry.gradient_flow_identity_check`` take a sign.  Reflecting
+Orientation of the commutator forms relative to the direct equations is a
+constant of the construction, CALIBRATED_SIGN, which ``calibrate_sign``
+re-derives from the dense Lax field.  The pushforward always applies it, so
+every form runs the one flow that descends f; only the dense ``lax_rhs`` and
+the oracle ``geometry.gradient_flow_identity_check`` take a sign.  Reflecting
 the sites negates the direct field, so the time-reversed flow is the flow
 from the reflected state, read in reverse site order.
 """
@@ -53,10 +53,10 @@ __all__ = [
     "volterra_rhs",
 ]
 
-# Orientation of the commutator forms, selected by calibrate_sign(): the
-# bracket fields as constructed generate the time reverse of the direct
-# equations, so the direct flow is their negative.  With this sign the flow
-# descends f.  The calibration test keeps the constant honest.
+# Orientation of the commutator forms: the bracket fields as constructed
+# generate the time reverse of the direct equations, so the direct flow is
+# their negative.  With this sign the flow descends f.  calibrate_sign()
+# re-derives it from the dense Lax field, which keeps the constant honest.
 CALIBRATED_SIGN = -1
 
 # Right-hand-side forms understood by pushforward_rhs and the integrator.
@@ -370,13 +370,19 @@ def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
     return (2.0 * CALIBRATED_SIGN) * c * sup
 
 
+def _u_velocity(L: LaxMatrix, m: np.ndarray) -> np.ndarray:
+    # du/dt of a dense field m on L, 2 c diag(m, 1): the pushforward's
+    # chain rule written on the reference objects.
+    return 2.0 * L.c * np.diagonal(m, 1)
+
+
 @dataclass(frozen=True)
 class SignCalibration:
-    """Outcome of the orientation experiment.
+    """Outcome of the orientation test.
 
-    ``discrepancy`` maps each candidate sign to the largest deviation between
-    the direct trajectory and the Lax-form trajectory integrated with that
-    sign; ``sigma`` is the winner.
+    ``discrepancy`` maps each candidate sign to the largest deviation of the
+    dense Lax field with that sign from the direct field, in u-space;
+    ``sigma`` is the winner.
     """
 
     sigma: int
@@ -384,31 +390,20 @@ class SignCalibration:
 
 
 def calibrate_sign(state: LatticeState | None = None) -> SignCalibration:
-    """Determine the commutator orientation by a short twin integration.
+    """Determine the commutator orientation from the fields at one state.
 
-    Both candidate signs drive the Lax-form field from the same initial
-    state with the same fixed-step fourth-order scheme used against the
-    direct equations; the sign whose trajectory tracks the direct one is
-    the orientation of the construction.  The candidates are the calibrated
-    field and its negation, which is exact, so each has the bits of the
-    sign times [L, A] pushed forward.  The margin is many orders of
-    magnitude, so the answer does not depend on the step count.
+    The dense sigma * [L, A] of each sign, read in u-space, is compared with
+    the direct field; the sign that matches is the orientation.  Nothing is
+    integrated and CALIBRATED_SIGN is not read.  The other sign misses by
+    twice the direct field, so a tie (N = 1, where it vanishes) raises
+    ValueError.
     """
-    from .integrate import _raw_field, _rk4_raw
-
     if state is None:
         state = LatticeState((1.0, 1.0))
-    n_steps = 200
-    h = 0.1 / n_steps
-    calibrated = _raw_field("lax")
-    lax_field = {CALIBRATED_SIGN: calibrated, -CALIBRATED_SIGN: lambda u: -calibrated(u)}
-    u_direct = state.u.copy()
-    u_lax = {+1: state.u.copy(), -1: state.u.copy()}
-    disc = {+1: 0.0, -1: 0.0}
-    for _ in range(n_steps):
-        u_direct = _rk4_raw(_volterra_raw, u_direct, h)
-        for sig in (+1, -1):
-            u_lax[sig] = _rk4_raw(lax_field[sig], u_lax[sig], h)
-            disc[sig] = max(disc[sig], float(np.abs(u_lax[sig] - u_direct).max()))
-    sigma = -1 if disc[-1] <= disc[+1] else +1
+    L = lax_from_state(state)
+    direct = _volterra_raw(state.u)
+    disc = {sig: float(np.abs(direct - _u_velocity(L, lax_rhs(L, sig))).max()) for sig in (1, -1)}
+    if disc[+1] == disc[-1]:
+        raise ValueError("orientation undetermined: the field vanishes")
+    sigma = -1 if disc[-1] < disc[+1] else +1
     return SignCalibration(sigma=sigma, discrepancy=disc)

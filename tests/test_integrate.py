@@ -45,6 +45,34 @@ def test_config_validation():
     itg.IntegratorConfig(method="adaptive45", h0=1e-300)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"t1": "2"}, "t1 must be a real number, got '2'"),
+        ({"t1": None}, "t1 must be a real number, got None"),
+        ({"t1": 1 + 0j}, "t1 must be a real number, got (1+0j)"),
+        ({"tol_abs": "1e-9"}, "tol_abs must be a real number, got '1e-9'"),
+        ({"t1": 10**400}, "t1 overflows a float"),
+        ({"h0": True}, "h0 must be a real number, got True"),
+        ({"t0": np.bool_(False)}, "t0 must be a real number"),
+        ({"record_every": True}, "record_every must be a positive integer"),
+        ({"t1": 2}, None),
+        ({"t1": np.float32(0.5), "h0": np.int64(1)}, None),
+        ({"tol_rel": np.float64(1e-8), "record_every": np.int32(3)}, None),
+    ],
+)
+def test_config_types_at_the_library_boundary(kwargs, message):
+    # bools and non-real values are refused with a ValueError naming the
+    # field; ints, numpy floats and numpy ints stay accepted
+    if message is None:
+        cfg = itg.IntegratorConfig(**kwargs)
+        assert all(getattr(cfg, k) == v for k, v in kwargs.items())
+    else:
+        with pytest.raises(ValueError) as info:
+            itg.IntegratorConfig(**kwargs)
+        assert str(info.value).startswith(message)
+
+
 def test_rk4_step_fixed_point_is_exact():
     u = np.array([5.0])
     npt.assert_array_equal(itg._rk4_raw(itg._volterra_raw, u, 0.25), [5.0])

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -377,10 +379,32 @@ def test_sign_calibration_picks_descent():
 
 
 def test_sign_calibration_discrepancy_is_pinned():
-    # the twin run's bits, unchanged since it ran on a private RK4 copy
+    # at u = (1, 1) the direct field is (1, -1): the calibrated Lax field
+    # matches it exactly and the other sign misses by twice its size
     cal = lattice.calibrate_sign()
-    assert cal.discrepancy[+1].hex() == "0x1.983d7795f411cp-3"
-    assert cal.discrepancy[-1] == 0.0
+    assert cal == lattice.SignCalibration(sigma=-1, discrepancy={+1: 2.0, -1: 0.0})
+
+
+def test_sign_calibration_refuses_a_tie():
+    # at N = 1 both fields vanish, so neither sign can be preferred
+    with pytest.raises(ValueError, match="orientation undetermined: the field vanishes"):
+        lattice.calibrate_sign(lattice.LatticeState([2.0]))
+
+
+def test_lattice_imports_nothing_from_the_layers_above():
+    # an AST scan, at every nesting level, so a lazy import cannot bring the
+    # lattice -> integrate cycle back
+    tree = ast.parse(Path(lattice.__file__).read_text(encoding="utf-8"))
+    above = {"integrate", "verify", "cli"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert imported  # the scan sees the module's imports
+    assert not imported & above
 
 
 def test_sign_calibration_stable_across_states():

@@ -6,7 +6,6 @@ from volterra_lab import lattice, verify
 def test_small_battery_passes():
     report = verify.run_verification((1, 2, 3), trials=3, seed=1)
     assert report.passed
-    assert report.sigma == -1
     assert len(report.checks) == 8
     names = [c.name for c in report.checks]
     assert len(set(names)) == 8
@@ -62,8 +61,25 @@ def test_battery_runs_the_default_calibration_once(monkeypatch):
     # the default state once, then the three drawn states of the sign check
     assert len(calls) == 4
     assert calls.count(()) == 1
-    assert report.sigma == lattice.CALIBRATED_SIGN
-    assert report.discrepancy == dict(real().discrepancy)
+    assert report.passed
+
+
+def test_sign_row_fails_when_the_constant_is_wrong(monkeypatch):
+    monkeypatch.setattr(lattice, "CALIBRATED_SIGN", +1)
+    check = verify.check_sign_calibration(seed=1)
+    assert check.name == "sign-calibration"
+    assert not check.passed
+    assert "sigma* = -1" in check.detail
+    assert not verify.run_verification((1, 2), trials=1, seed=1).passed
+
+
+def test_sign_row_fails_when_the_lax_field_is_reversed(monkeypatch):
+    real = lattice.lax_rhs
+    monkeypatch.setattr(lattice, "lax_rhs", lambda L, sigma: -real(L, sigma))
+    assert lattice.calibrate_sign().sigma == +1
+    check = verify.check_sign_calibration(seed=1)
+    assert not check.passed
+    assert check.detail.startswith("sigma* = +1")
 
 
 def test_trajectory_accuracy_against_the_two_site_closed_form():
