@@ -5,111 +5,24 @@ provably equivalent forms (direct, Lax commutator, double bracket), its
 isospectral geometry is made computable (centralizer projection, normal
 metric, orbit gradient), and every identity tying the forms together is
 checkable by a seeded verification battery.
+
+The package root re-exports the public names of ``core``, ``geometry``,
+``integrate`` and ``lattice``; each module's ``__all__`` is the one list.
 """
 
-from .core import (
-    DimensionMismatchError,
-    EigenDecomposition,
-    NotSymmetricError,
-    commutator,
-    expm_small,
-    frobenius_inner,
-    symmetric_eigen,
-    trace_power,
-)
-from .geometry import (
-    DegenerateSpectrumError,
-    GradientFlowReport,
-    OrbitContext,
-    TangencyError,
-    TangentVector,
-    centralizer_project,
-    directional_derivative,
-    finite_difference_directional,
-    gradient_flow_identity_check,
-    normal_metric,
-    orbit_context,
-    orbit_gradient,
-)
-from .integrate import (
-    IntegrationError,
-    IntegratorConfig,
-    InvariantSummary,
-    PositivityAbortError,
-    PropagationError,
-    StepBudgetError,
-    StepUnderflowError,
-    TrajectoryRecord,
-    integrate,
-    invariant_report,
-)
-from .lattice import (
-    CALIBRATED_SIGN,
-    FORMS,
-    InternalConsistencyError,
-    LatticeState,
-    LaxMatrix,
-    SignCalibration,
-    build_A,
-    build_K,
-    calibrate_sign,
-    double_bracket_field,
-    lax_from_state,
-    lax_rhs,
-    objective_f,
-    pushforward_rhs,
-    trace_objective,
-    volterra_rhs,
-)
+from . import core, geometry, integrate, lattice
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CALIBRATED_SIGN",
-    "DegenerateSpectrumError",
-    "DimensionMismatchError",
-    "EigenDecomposition",
-    "FORMS",
-    "GradientFlowReport",
-    "IntegrationError",
-    "IntegratorConfig",
-    "InternalConsistencyError",
-    "InvariantSummary",
-    "LatticeState",
-    "LaxMatrix",
-    "NotSymmetricError",
-    "OrbitContext",
-    "PositivityAbortError",
-    "PropagationError",
-    "SignCalibration",
-    "StepBudgetError",
-    "StepUnderflowError",
-    "TangencyError",
-    "TangentVector",
-    "TrajectoryRecord",
-    "build_A",
-    "build_K",
-    "calibrate_sign",
-    "centralizer_project",
-    "commutator",
-    "directional_derivative",
-    "double_bracket_field",
-    "expm_small",
-    "finite_difference_directional",
-    "frobenius_inner",
-    "gradient_flow_identity_check",
-    "integrate",
-    "invariant_report",
-    "lax_from_state",
-    "lax_rhs",
-    "normal_metric",
-    "objective_f",
-    "orbit_context",
-    "orbit_gradient",
-    "pushforward_rhs",
-    "symmetric_eigen",
-    "trace_objective",
-    "trace_power",
-    "volterra_rhs",
-    "__version__",
-]
+# Read integrate.__all__ while the name is still the submodule: the star
+# import below rebinds volterra_lab.integrate to the integrate() function.
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += geometry.__all__
+__all__ += integrate.__all__
+__all__ += lattice.__all__
+
+from .core import *  # noqa: E402,F403
+from .geometry import *  # noqa: E402,F403
+from .integrate import *  # noqa: E402,F403
+from .lattice import *  # noqa: E402,F403

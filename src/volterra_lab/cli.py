@@ -25,9 +25,11 @@ only on one numpy build.
 Exit codes: 0 success, 2 configuration error (including a config file that
 cannot be read or decoded, an ``--out`` that cannot be written, which is
 refused before any stepping, a window t1 - t0 that overflows, and fewer
-than two distinct gradient-check eps values), 3 integration failure
-(including a state that leaves the positive cone under rk4 and an
-adaptive45 run that reaches 1e8 attempts), 4 verification failure.
+than two distinct gradient-check eps values, and a run too large for the
+machine's memory), 3 integration failure (including a state that leaves
+the positive cone under rk4 and an adaptive45 run that reaches 1e8
+attempts), 4 verification failure.  A failing command prints one line on
+stderr and, except a battery that ran and failed, nothing on stdout.
 """
 
 from __future__ import annotations
@@ -300,7 +302,9 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
 
     slopes = []
     pairing_worst = 0.0
-    print(f"{'trial':>5}  {'eps':>9}  {'fd':>23}  {'closed_form':>23}  {'|fd-closed|':>12}")
+    # The table is printed once every trial has run, so a run that fails
+    # leaves stdout empty.
+    rows = [f"{'trial':>5}  {'eps':>9}  {'fd':>23}  {'closed_form':>23}  {'|fd-closed|':>12}"]
     for trial in range(trials):
         _, ctx, stream, _ = verify._draw_context(seed, 8, n, trial)
         # direction norm 10: keeps the eps^2 term of the centered difference
@@ -317,9 +321,10 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
             fd = geometry.finite_difference_directional(ctx.base, t, eps)
             err = abs(fd - dd)
             errs.append(max(err, 1e-300))
-            print(f"{trial:>5}  {eps:>9.1e}  {fd:>23.16g}  {dd:>23.16g}  {err:>12.3e}")
+            rows.append(f"{trial:>5}  {eps:>9.1e}  {fd:>23.16g}  {dd:>23.16g}  {err:>12.3e}")
         slopes.append(float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0]))
     mean_slope = float(np.mean(slopes))
+    print("\n".join(rows))
     print(
         f"mean convergence order = {mean_slope:.3f} (expect 2.0 +/- 0.2); "
         f"max |closed - metric| / (1 + |closed|) = {pairing_worst:.3e}"
@@ -400,6 +405,12 @@ def main(argv=None) -> int:
     except geometry.DegenerateSpectrumError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except MemoryError as exc:
+        # A site or sample count too large for this machine's memory; a fixed
+        # cap on n would only guess at that memory, so the allocation decides.
+        detail = str(exc) or "allocation failed"
+        print(f"configuration error: not enough memory for this run: {detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def run():

@@ -9,7 +9,6 @@ mutate their arguments, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +42,6 @@ def _all_in_open(x: np.ndarray, lo: float, hi: float) -> bool:
     # vectors, and the ufunc reductions skip the x.min()/x.max() wrappers;
     # NaN propagates through both and fails both comparisons.
     return bool(lo < np.minimum.reduce(x, None) and np.maximum.reduce(x, None) < hi)
-
-
-def _frobenius_norm(x: np.ndarray) -> float:
-    # What np.linalg.norm(x) computes for a real array, bit for bit, without
-    # its argument dispatch.
-    x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
 
 
 def _as_square(x, name: str) -> np.ndarray:
@@ -138,8 +130,8 @@ def symmetric_eigen(s) -> EigenDecomposition:
     s = _as_square(s, "matrix")
     if not _all_in_open(s, -np.inf, np.inf):
         raise ValueError("matrix entries must be finite")
-    asym = _frobenius_norm(s - s.T)
-    if asym > SYMMETRY_RTOL * _frobenius_norm(s):
+    asym = float(np.linalg.norm(s - s.T))
+    if asym > SYMMETRY_RTOL * float(np.linalg.norm(s)):
         raise NotSymmetricError(f"matrix is not symmetric: ||S - S^T|| = {asym:.3g}")
     eigenvalues, basis = np.linalg.eigh(0.5 * (s + s.T))
     eigenvalues.flags.writeable = False

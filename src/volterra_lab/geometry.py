@@ -26,6 +26,7 @@ from .lattice import (
     LatticeState,
     LaxMatrix,
     _check_sign,
+    _dense_lax,
     build_K,
     lax_from_state,
     volterra_rhs,
@@ -235,12 +236,7 @@ def gradient_flow_identity_check(s: LatticeState, sigma: int = CALIBRATED_SIGN) 
     grad = orbit_gradient(ctx)
 
     udot = volterra_rhs(s)
-    cdot = 0.5 * udot / L.c
-    n1 = L.dim
-    ldot = np.zeros((n1, n1))
-    i = np.arange(s.n)
-    ldot[i, i + 1] = cdot
-    ldot[i + 1, i] = cdot
+    ldot = _dense_lax(0.5 * udot / L.c)
 
     field_residual = float(np.abs(sigma * grad.mat - ldot).max())
     field_tolerance = 1e-10 * (1.0 + float(np.linalg.norm(ldot)))

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import _all_in_open, _frobenius_norm, frobenius_inner
+from .core import _all_in_open, frobenius_inner
 
 __all__ = [
     "CALIBRATED_SIGN",
@@ -261,7 +261,7 @@ def _bracket_field(c: np.ndarray) -> np.ndarray:
     _tangency_check(
         float(np.abs(field - field.T).max()),
         float(np.abs(field[_off_band(n1)]).max()),
-        _frobenius_norm(dense),
+        float(np.linalg.norm(dense)),
     )
     return field
 

@@ -23,7 +23,6 @@ __all__ = [
     "substream_seed",
     "random_state",
     "uniform_matrix",
-    "symmetric_matrix",
     "skew_matrix",
 ]
 
@@ -81,11 +80,6 @@ def uniform_matrix(dim: int, stream: SplitMix64) -> np.ndarray:
     return np.array(
         [[stream.uniform_signed() for _ in range(dim)] for _ in range(dim)]
     )
-
-
-def symmetric_matrix(dim: int, stream: SplitMix64) -> np.ndarray:
-    m = uniform_matrix(dim, stream)
-    return 0.5 * (m + m.T)
 
 
 def skew_matrix(dim: int, stream: SplitMix64) -> np.ndarray:

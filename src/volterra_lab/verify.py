@@ -123,7 +123,9 @@ def _trial_chain(seed: int, n: int, trial: int):
 
 def _trial_gradient(seed: int, n: int, trial: int):
     s, ctx, stream, redraws = _draw_context(seed, 4, n, trial)
-    grad = geometry.orbit_gradient(ctx)
+    # normal_metric(ctx, grad, v), with the gradient's coordinates solved
+    # once per state rather than once per direction.
+    grad_coords = geometry._tangent_coordinates(ctx, geometry.orbit_gradient(ctx))
     g = commutator(ctx.dense @ ctx.dense, lattice.build_K(n + 1))
     g_norm = float(np.linalg.norm(g))
     worst = 0.0
@@ -131,7 +133,7 @@ def _trial_gradient(seed: int, n: int, trial: int):
         t = rng.uniform_matrix(n + 1, stream)
         v = geometry.TangentVector(ctx.base, commutator(ctx.dense, t))
         dd = geometry.directional_derivative(ctx.base, t)
-        nm = geometry.normal_metric(ctx, grad, v)
+        nm = float(np.sum(grad_coords * geometry._tangent_coordinates(ctx, v)))
         scale = 1.0 + abs(dd) + g_norm * float(np.linalg.norm(t))
         worst = max(worst, abs(dd - nm) / scale)
     return worst, redraws

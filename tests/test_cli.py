@@ -592,6 +592,40 @@ def test_gradient_check_without_a_workable_spectrum_exits_4(monkeypatch, capsys)
     )
 
 
+_NO_MEMORY = "Unable to allocate 298. GiB for an array with shape (200001, 200001) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        (["simulate", "--seed", "1", "--n", "3"], (itg_module, "_lax_spectra")),
+        (["spectrum", "--seed", "1", "--n", "3"], (itg_module, "_lax_spectra")),
+        (["verify", "--n-list", "3", "--trials", "1"], (geometry, "orbit_context")),
+        (["gradient-check", "--n", "3", "--trials", "2"], (geometry, "orbit_context")),
+    ],
+)
+@pytest.mark.parametrize("message", [_NO_MEMORY, ""])
+def test_a_run_too_large_for_memory_exits_2_in_one_line(
+    monkeypatch, tmp_path, capsys, command, where, message
+):
+    # Stands in for numpy's _ArrayMemoryError at a site count such as
+    # 200000, where the dense (N+1)^2 Lax matrix or the (N/2)^2 bidiagonal
+    # blocks do not fit; nothing here allocates for real.
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*where, too_large)
+    out = tmp_path / "run.csv"
+    argv = command + ["--t1", "0.01", "--out", str(out)] if command[0] == "simulate" else command
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: not enough memory for this run: {message or 'allocation failed'}\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_start_does_not_load_the_battery(tmp_path):
     # simulate and spectrum never import verify, which only verify and
     # gradient-check load; no command starts or imports a process pool

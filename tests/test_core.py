@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from volterra_lab import core
-from volterra_lab.rng import SplitMix64, skew_matrix, substream_seed, symmetric_matrix, uniform_matrix
+from volterra_lab.rng import SplitMix64, skew_matrix, substream_seed, uniform_matrix
 
 
 def test_commutator_example():
@@ -73,7 +73,8 @@ def test_frobenius_skew_orthogonal_to_symmetric():
     stream = SplitMix64(substream_seed(12, 1))
     for _ in range(20):
         dim = 2 + stream.next_u64() % 7
-        s = symmetric_matrix(dim, stream)
+        m = uniform_matrix(dim, stream)
+        s = 0.5 * (m + m.T)
         w = skew_matrix(dim, stream)
         scale = np.linalg.norm(s) * np.linalg.norm(w)
         assert abs(core.frobenius_inner(s, w)) <= 1e-13 * (1.0 + scale)
@@ -85,7 +86,8 @@ def test_frobenius_weight_identity_not_assumed():
     for _ in range(50):
         dim = 2 + stream.next_u64() % 9
         k = np.diag([stream.uniform() + 0.1 for _ in range(dim)])
-        s = symmetric_matrix(dim, stream)
+        m = uniform_matrix(dim, stream)
+        s = 0.5 * (m + m.T)
         t = uniform_matrix(dim, stream)
         lhs = float(np.trace(k @ core.commutator(s, t)))
         rhs = float(np.trace(core.commutator(s, k) @ t.T))
@@ -108,7 +110,8 @@ def test_trace_power_examples():
 def test_trace_power_matches_eigen_sum():
     stream = SplitMix64(substream_seed(13, 0))
     for dim in (2, 5, 11, 20):
-        s = symmetric_matrix(dim, stream)
+        m = uniform_matrix(dim, stream)
+        s = 0.5 * (m + m.T)
         lam = core.symmetric_eigen(s).eigenvalues
         for k in (1, 2, 3, 4, 6):
             expect = float(np.sum(lam**k))
@@ -165,7 +168,8 @@ def test_eigen_tie_order_is_stable():
 def test_eigen_reconstruction_and_orthonormality():
     stream = SplitMix64(substream_seed(14, 0))
     for dim in (1, 2, 3, 5, 10, 20, 50):
-        s = symmetric_matrix(dim, stream) if dim > 1 else np.array([[stream.uniform_signed()]])
+        m = uniform_matrix(dim, stream)
+        s = 0.5 * (m + m.T)
         eig = core.symmetric_eigen(s)
         assert np.all(np.diff(eig.eigenvalues) >= 0.0)
         recon = eig.basis @ np.diag(eig.eigenvalues) @ eig.basis.T
@@ -177,7 +181,8 @@ def test_eigen_reconstruction_and_orthonormality():
 def test_eigen_matches_independent_solver():
     stream = SplitMix64(substream_seed(14, 1))
     for dim in (3, 8, 25):
-        s = symmetric_matrix(dim, stream)
+        m = uniform_matrix(dim, stream)
+        s = 0.5 * (m + m.T)
         mine = core.symmetric_eigen(s).eigenvalues
         ref = np.linalg.eigvalsh(s)
         npt.assert_allclose(mine, ref, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(s)))

@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import pytest
 
@@ -42,3 +43,24 @@ def test_the_second_stepping_api_is_gone(name):
         module = importlib.import_module(f"volterra_lab.{sub}")
         assert name not in module.__all__
         assert not hasattr(module, name)
+
+
+def test_package_all_is_the_four_submodules_lists():
+    # the package root restates no public name: its __all__ is the union of
+    # the re-exported submodules' own lists, plus the version
+    reexported = ("core", "geometry", "integrate", "lattice")
+    expected = ["__version__"]
+    for name in reexported:
+        expected += importlib.import_module(f"volterra_lab.{name}").__all__
+    assert volterra_lab.__all__ == expected
+    for name in set(SUBMODULES) - set(reexported):
+        module = importlib.import_module(f"volterra_lab.{name}")
+        assert not set(module.__all__) & set(volterra_lab.__all__), name
+    # the function wins over the submodule of the same name
+    assert volterra_lab.integrate is sys.modules["volterra_lab.integrate"].integrate
+
+
+@pytest.mark.parametrize("module, name", [("rng", "symmetric_matrix"), ("core", "_frobenius_norm")])
+def test_hand_copies_of_shared_helpers_are_gone(module, name):
+    assert not hasattr(importlib.import_module(f"volterra_lab.{module}"), name)
+    assert not hasattr(volterra_lab, name)

@@ -6,7 +6,6 @@ from volterra_lab.rng import (
     random_state,
     skew_matrix,
     substream_seed,
-    symmetric_matrix,
     uniform_matrix,
 )
 
@@ -56,7 +55,8 @@ def test_matrix_helpers_shapes_and_symmetry():
     stream = SplitMix64(substream_seed(9, 1))
     m = uniform_matrix(4, stream)
     assert m.shape == (4, 4)
-    s = symmetric_matrix(5, stream)
+    m = uniform_matrix(5, stream)
+    s = 0.5 * (m + m.T)
     assert np.array_equal(s, s.T)
     w = skew_matrix(5, stream)
     assert np.array_equal(w, -w.T)
