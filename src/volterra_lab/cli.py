@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import geometry, lattice, rng
-from .core import commutator, symmetric_eigen
+from .core import symmetric_eigen
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -306,15 +306,12 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
     # leaves stdout empty.
     rows = [f"{'trial':>5}  {'eps':>9}  {'fd':>23}  {'closed_form':>23}  {'|fd-closed|':>12}"]
     for trial in range(trials):
-        _, ctx, stream, _ = verify._draw_context(seed, 8, n, trial)
+        _, ctx, stream, _ = verify.draw_context(seed, 8, n, trial)
         # direction norm 10: keeps the eps^2 term of the centered difference
         # well above the double-precision floor of f at the smallest eps
         t = rng.skew_matrix(n + 1, stream)
         t = 10.0 * t / max(1e-30, float(np.linalg.norm(t)))
-        dd = geometry.directional_derivative(ctx.base, t)
-        grad = geometry.orbit_gradient(ctx)
-        v = geometry.TangentVector(ctx.base, commutator(ctx.dense, t))
-        nm = geometry.normal_metric(ctx, grad, v)
+        dd, nm = verify.gradient_pairing(ctx)(t)
         pairing_worst = max(pairing_worst, abs(dd - nm) / (1.0 + abs(dd)))
         errs = []
         for eps in eps_list:

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EigenDecomposition, commutator, frobenius_inner, symmetric_eigen
+from . import lattice
+from .core import EigenDecomposition, commutator, expm_small, frobenius_inner, symmetric_eigen
 from .lattice import (
-    CALIBRATED_SIGN,
     LatticeState,
     LaxMatrix,
-    _check_sign,
     _dense_lax,
     build_K,
     lax_from_state,
+    trace_objective,
     volterra_rhs,
 )
 
@@ -193,9 +193,6 @@ def finite_difference_directional(L: LaxMatrix, t, eps: float) -> float:
     The curve exp(-eps T) L exp(eps T) has velocity [L, T] at eps = 0, so
     this converges to directional_derivative(L, T) at second order in eps.
     """
-    from .core import expm_small
-    from .lattice import trace_objective
-
     t = np.asarray(t, dtype=float)
     dense = L.densify()
     fwd = expm_small(-eps * t) @ dense @ expm_small(eps * t)
@@ -207,13 +204,12 @@ def finite_difference_directional(L: LaxMatrix, t, eps: float) -> float:
 class GradientFlowReport:
     """Residuals of the gradient-flow identities at one state.
 
-    ``field_residual`` compares sigma times the gradient matrix with the
-    matrix velocity induced by the direct equations; ``energy_residual``
-    compares df/dt along the direct flow with sigma times the squared
-    gradient norm.
+    ``field_residual`` compares lattice.CALIBRATED_SIGN times the gradient
+    matrix with the matrix velocity induced by the direct equations;
+    ``energy_residual`` compares df/dt along the direct flow with that sign
+    times the squared gradient norm.
     """
 
-    sigma: int
     field_residual: float
     field_tolerance: float
     energy_residual: float
@@ -223,14 +219,15 @@ class GradientFlowReport:
     passed: bool
 
 
-def gradient_flow_identity_check(s: LatticeState, sigma: int = CALIBRATED_SIGN) -> GradientFlowReport:
-    """Check that the direct flow is the sigma-signed gradient flow at s.
+def gradient_flow_identity_check(s: LatticeState) -> GradientFlowReport:
+    """Check that the direct flow is the signed gradient flow at s.
 
     Two comparisons, both against quantities computed without the bracket
     machinery: the tridiagonal velocity assembled from dc_i = u_dot_i / (2 c_i),
     and df/dt from the chain rule in u-space, f = sum_n u_n (2n + 1) / 4.
+    The sign is lattice.CALIBRATED_SIGN, read when the check runs.
     """
-    sigma = _check_sign(sigma)
+    sigma = lattice.CALIBRATED_SIGN
     L = lax_from_state(s)
     ctx = orbit_context(L)
     grad = orbit_gradient(ctx)
@@ -248,7 +245,6 @@ def gradient_flow_identity_check(s: LatticeState, sigma: int = CALIBRATED_SIGN) 
     energy_tolerance = 1e-10 * (1.0 + abs(df_dt))
 
     return GradientFlowReport(
-        sigma=sigma,
         field_residual=field_residual,
         field_tolerance=field_tolerance,
         energy_residual=energy_residual,

@@ -16,11 +16,12 @@ entries where it can fail.
 
 Orientation of the commutator forms relative to the direct equations is a
 constant of the construction, CALIBRATED_SIGN, which ``calibrate_sign``
-re-derives from the dense Lax field.  The pushforward always applies it, so
-every form runs the one flow that descends f; only the dense ``lax_rhs`` and
-the oracle ``geometry.gradient_flow_identity_check`` take a sign.  Reflecting
-the sites negates the direct field, so the time-reversed flow is the flow
-from the reflected state, read in reverse site order.
+re-derives from the dense Lax field.  No function takes a sign: both dense
+fields are the unsigned brackets, and the pushforward, the battery and
+``geometry.gradient_flow_identity_check`` read CALIBRATED_SIGN from this
+module when they run, so every form runs the one flow that descends f.
+Reflecting the sites negates the direct field, so the time-reversed flow is
+the flow from the reflected state, read in reverse site order.
 """
 
 from __future__ import annotations
@@ -250,24 +251,8 @@ def _tangency_check(asym: float, off_band: float, norm: float) -> None:
         )
 
 
-def _bracket_field(c: np.ndarray) -> np.ndarray:
-    # [L, [L^2, K]] with the tangency check of double_bracket_field.
-    n1 = c.size + 1
-    dense = _dense_lax(c)
-    k = build_K(n1)
-    sq = dense @ dense
-    inner = sq @ k - k @ sq
-    field = dense @ inner - inner @ dense
-    _tangency_check(
-        float(np.abs(field - field.T).max()),
-        float(np.abs(field[_off_band(n1)]).max()),
-        float(np.linalg.norm(dense)),
-    )
-    return field
-
-
 def _bracket_superdiagonal(c: np.ndarray) -> np.ndarray:
-    # Bit for bit _bracket_field(c).diagonal(1), with the same tangency
+    # Bit for bit double_bracket_field(L).diagonal(1), with the same tangency
     # check, in O(N).  For diagonal K each nonzero entry of the dense L^2 K
     # and K L^2 is a single product, so [L^2, K] has the shape of A, with
     # w_i = p_i k_{i+2} - k_i p_i where p_i = (L^2)_{i,i+2} = c_i c_{i+1},
@@ -327,21 +312,25 @@ def double_bracket_field(L: LaxMatrix) -> np.ndarray:
     is broken and raises InternalConsistencyError rather than returning
     garbage.
     """
-    return _bracket_field(L.c)
+    n1 = L.dim
+    dense = _dense_lax(L.c)
+    k = build_K(n1)
+    sq = dense @ dense
+    inner = sq @ k - k @ sq
+    field = dense @ inner - inner @ dense
+    _tangency_check(
+        float(np.abs(field - field.T).max()),
+        float(np.abs(field[_off_band(n1)]).max()),
+        float(np.linalg.norm(dense)),
+    )
+    return field
 
 
-def _check_sign(sigma) -> int:
-    if sigma not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sigma!r}")
-    return int(sigma)
-
-
-def lax_rhs(L: LaxMatrix, sigma: int) -> np.ndarray:
-    """Commutator right-hand side sigma * [L, A] in dense form."""
-    sigma = _check_sign(sigma)
+def lax_rhs(L: LaxMatrix) -> np.ndarray:
+    """Commutator [L, A] in dense form."""
     dense = _dense_lax(L.c)
     a = _generator(L.c)
-    return sigma * (dense @ a - a @ dense)
+    return dense @ a - a @ dense
 
 
 def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
@@ -380,8 +369,8 @@ def _u_velocity(L: LaxMatrix, m: np.ndarray) -> np.ndarray:
 class SignCalibration:
     """Outcome of the orientation test.
 
-    ``discrepancy`` maps each candidate sign to the largest deviation of the
-    dense Lax field with that sign from the direct field, in u-space;
+    ``discrepancy`` maps each candidate sign to the largest deviation of
+    that sign times the dense Lax field from the direct field, in u-space;
     ``sigma`` is the winner.
     """
 
@@ -392,17 +381,17 @@ class SignCalibration:
 def calibrate_sign(state: LatticeState | None = None) -> SignCalibration:
     """Determine the commutator orientation from the fields at one state.
 
-    The dense sigma * [L, A] of each sign, read in u-space, is compared with
-    the direct field; the sign that matches is the orientation.  Nothing is
-    integrated and CALIBRATED_SIGN is not read.  The other sign misses by
-    twice the direct field, so a tie (N = 1, where it vanishes) raises
-    ValueError.
+    For each sign sigma, sigma times the dense [L, A] of ``lax_rhs``, read in
+    u-space, is compared with the direct field; the sign that matches is the
+    orientation.  Nothing is integrated and CALIBRATED_SIGN is not read.  The
+    other sign misses by twice the direct field, so a tie (N = 1, where it
+    vanishes) raises ValueError.
     """
     if state is None:
         state = LatticeState((1.0, 1.0))
     L = lax_from_state(state)
     direct = _volterra_raw(state.u)
-    disc = {sig: float(np.abs(direct - _u_velocity(L, lax_rhs(L, sig))).max()) for sig in (1, -1)}
+    disc = {sig: float(np.abs(direct - _u_velocity(L, sig * lax_rhs(L))).max()) for sig in (1, -1)}
     if disc[+1] == disc[-1]:
         raise ValueError("orientation undetermined: the field vanishes")
     sigma = -1 if disc[-1] < disc[+1] else +1

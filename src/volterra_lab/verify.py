@@ -28,6 +28,8 @@ __all__ = [
     "check_sign_calibration",
     "check_isospectral_drift",
     "check_trajectory_accuracy",
+    "draw_context",
+    "gradient_pairing",
     "run_verification",
 ]
 
@@ -75,7 +77,7 @@ def _draw_state(seed: int, check_id: int, n: int, *idx: int):
     return lattice.LatticeState(rng.random_state(n, stream)), stream
 
 
-def _draw_context(seed: int, check_id: int, n: int, trial: int):
+def draw_context(seed: int, check_id: int, n: int, trial: int):
     """State plus orbit context, redrawing on a numerically degenerate spectrum."""
     for attempt in range(_MAX_REDRAWS):
         s, stream = _draw_state(seed, check_id, n, trial, attempt)
@@ -89,6 +91,22 @@ def _draw_context(seed: int, check_id: int, n: int, trial: int):
     )
 
 
+def gradient_pairing(ctx: geometry.OrbitContext):
+    """T -> (df([L, T]), normal metric of grad f with [L, T]) at the context's base.
+
+    The pairing is ``geometry.normal_metric``'s, with the gradient's
+    coordinates solved once per state rather than once per direction.
+    """
+    grad_coords = geometry._tangent_coordinates(ctx, geometry.orbit_gradient(ctx))
+
+    def pair(t: np.ndarray):
+        v = geometry.TangentVector(ctx.base, commutator(ctx.dense, t))
+        nm = float(np.sum(grad_coords * geometry._tangent_coordinates(ctx, v)))
+        return geometry.directional_derivative(ctx.base, t), nm
+
+    return pair
+
+
 def _trial_lax_generator(seed: int, n: int, trial: int):
     s, _ = _draw_state(seed, 1, n, trial)
     dense = lattice.lax_from_state(s).densify()
@@ -99,7 +117,7 @@ def _trial_lax_generator(seed: int, n: int, trial: int):
 
 
 def _trial_projection(seed: int, n: int, trial: int):
-    s, ctx, _, redraws = _draw_context(seed, 2, n, trial)
+    s, ctx, _, redraws = draw_context(seed, 2, n, trial)
     g = commutator(ctx.dense @ ctx.dense, lattice.build_K(n + 1))
     proj = geometry.centralizer_project(ctx, g)
     residual = float(np.linalg.norm(proj - g)) / (1.0 + float(np.linalg.norm(g)))
@@ -122,35 +140,28 @@ def _trial_chain(seed: int, n: int, trial: int):
 
 
 def _trial_gradient(seed: int, n: int, trial: int):
-    s, ctx, stream, redraws = _draw_context(seed, 4, n, trial)
-    # normal_metric(ctx, grad, v), with the gradient's coordinates solved
-    # once per state rather than once per direction.
-    grad_coords = geometry._tangent_coordinates(ctx, geometry.orbit_gradient(ctx))
+    s, ctx, stream, redraws = draw_context(seed, 4, n, trial)
+    pair = gradient_pairing(ctx)
     g = commutator(ctx.dense @ ctx.dense, lattice.build_K(n + 1))
     g_norm = float(np.linalg.norm(g))
     worst = 0.0
     for _ in range(100):
         t = rng.uniform_matrix(n + 1, stream)
-        v = geometry.TangentVector(ctx.base, commutator(ctx.dense, t))
-        dd = geometry.directional_derivative(ctx.base, t)
-        nm = float(np.sum(grad_coords * geometry._tangent_coordinates(ctx, v)))
+        dd, nm = pair(t)
         scale = 1.0 + abs(dd) + g_norm * float(np.linalg.norm(t))
         worst = max(worst, abs(dd - nm) / scale)
     return worst, redraws
 
 
 def _dense_gap(s: lattice.LatticeState, form: str, out: np.ndarray) -> float:
-    """Largest |out - 2 c diag(M, 1)|, with M the dense public field of the form.
+    """Largest |out - 2 c diag(M, 1)|, M = CALIBRATED_SIGN times the form's dense field.
 
     This runs the paper's dense objects, and the double bracket's dense
     tangency check, against the O(N) pushforward; with equal bits it is 0.
     """
     L = lattice.lax_from_state(s)
-    sigma = lattice.CALIBRATED_SIGN
-    if form == "lax":
-        m = lattice.lax_rhs(L, sigma)
-    else:
-        m = sigma * lattice.double_bracket_field(L)
+    field = lattice.lax_rhs if form == "lax" else lattice.double_bracket_field
+    m = lattice.CALIBRATED_SIGN * field(L)
     return float(np.abs(out - lattice._u_velocity(L, m)).max())
 
 
@@ -238,7 +249,7 @@ def check_field_equivalence(n_list, trials: int, seed: int) -> CheckResult:
 def check_sign_calibration(seed: int) -> CheckResult:
     """The calibrated orientation is reproducible and decisive.
 
-    ``lattice.calibrate_sign`` compares the dense Lax field of each sign
+    ``lattice.calibrate_sign`` compares each sign times the dense Lax field
     with the direct field, at the default state and at three drawn ones;
     each must pick CALIBRATED_SIGN, and at the default state the chosen
     sign must match within the threshold and the other miss by over 1e-3.

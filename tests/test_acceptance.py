@@ -127,9 +127,7 @@ def test_06_isospectral_conservation(three_form_runs, unit_pair_run):
 
 def test_07_energy_identity_along_the_flow(unit_pair_run):
     record = unit_pair_run
-    at_start = geometry.gradient_flow_identity_check(
-        LatticeState(np.array([1.0, 1.0])), CALIBRATED_SIGN
-    )
+    at_start = geometry.gradient_flow_identity_check(LatticeState(np.array([1.0, 1.0])))
     exact = (
         abs(at_start.df_dt + 0.5) <= 1e-12
         and abs(at_start.grad_norm_sq - 0.5) <= 1e-12
@@ -137,7 +135,7 @@ def test_07_energy_identity_along_the_flow(unit_pair_run):
     )
     rel_worst = 0.0
     for row in record.states:
-        rep = geometry.gradient_flow_identity_check(LatticeState(row), CALIBRATED_SIGN)
+        rep = geometry.gradient_flow_identity_check(LatticeState(row))
         rel_worst = max(
             rel_worst,
             abs(abs(rep.df_dt) - rep.grad_norm_sq) / (1.0 + rep.grad_norm_sq),

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -86,6 +87,27 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert cli.main(args + ["--out", str(a)]) == cli.EXIT_OK
     assert cli.main(args + ["--out", str(b)]) == cli.EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of one rk4 CSV per form, without --spectra.  Its t, u and f use
+# only IEEE arithmetic and sqrt, so the README promises these bytes on any
+# platform.
+_RK4_CSV_SHA256 = {
+    "direct": "1ca5e2d458cfe773632243b63c3248a2947e21a3b02dcafd2d15d243dca81418",
+    "lax": "10d7998b8b537f9b3c2ddf2313acb1168c79814db8fc8da964806e5e74262098",
+    "bracket": "c75b34631944120a08a87d86a0e888dfac558b956aedc745d2a5cbb905dc5b2a",
+}
+
+
+@pytest.mark.parametrize("form", list(_RK4_CSV_SHA256))
+def test_rk4_csv_bytes_are_pinned(tmp_path, capsys, form):
+    out = tmp_path / "run.csv"
+    argv = ["simulate", "--u0", "0.3,2,5,0.7", "--method", "rk4", "--t1", "1", "--h0", "0.01",
+            "--record-every", "7", "--form", form, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    data = out.read_bytes()
+    assert data.count(b"\n") == 17
+    assert hashlib.sha256(data).hexdigest() == _RK4_CSV_SHA256[form]
 
 
 def test_seeded_initial_sites_are_in_the_documented_range(tmp_path):

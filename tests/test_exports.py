@@ -1,9 +1,12 @@
+import dataclasses
 import importlib
+import inspect
 import sys
 
 import pytest
 
 import volterra_lab
+from volterra_lab import geometry, lattice
 
 SUBMODULES = ("cli", "core", "geometry", "integrate", "lattice", "rng", "verify")
 
@@ -64,3 +67,17 @@ def test_package_all_is_the_four_submodules_lists():
 def test_hand_copies_of_shared_helpers_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"volterra_lab.{module}"), name)
     assert not hasattr(volterra_lab, name)
+
+
+def test_no_function_takes_a_sign():
+    # the orientation is lattice.CALIBRATED_SIGN alone, and no other module
+    # binds it, so one patch of the constant reaches every caller
+    for name in SUBMODULES:
+        module = importlib.import_module(f"volterra_lab.{name}")
+        for fn_name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__:
+                assert not {"sigma", "sign"} & set(inspect.signature(fn).parameters), fn_name
+        if name != "lattice":
+            assert not hasattr(module, "CALIBRATED_SIGN"), name
+    assert not hasattr(lattice, "_check_sign") and not hasattr(lattice, "_bracket_field")
+    assert "sigma" not in {f.name for f in dataclasses.fields(geometry.GradientFlowReport)}

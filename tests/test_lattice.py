@@ -208,15 +208,23 @@ def test_double_bracket_two_routes_agree():
         assert np.abs(via_a - via_k).max() <= 1e-12 * scale
 
 
-def test_lax_rhs_sign_and_validation():
-    s = lattice.LatticeState(np.array([1.0, 1.0]))
-    dot = lattice.lax_rhs(lattice.lax_from_state(s), sigma=-1)
-    assert dot[0, 1] == pytest.approx(0.5, abs=1e-15)
-    npt.assert_allclose(dot, dot.T, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        lattice.lax_rhs(lattice.lax_from_state(s), sigma=0)
-    with pytest.raises(ValueError):
-        lattice.lax_rhs(lattice.lax_from_state(s), sigma=2)
+def test_lax_rhs_is_the_unsigned_commutator():
+    # lax_rhs(L) is the paper's [L, A]; the orientation is applied by the
+    # caller, and CALIBRATED_SIGN times it pushes forward to the direct field
+    L = lattice.lax_from_state(lattice.LatticeState(np.array([1.0, 1.0])))
+    dot = lattice.lax_rhs(L)
+    assert dot[0, 1] == -0.5
+    npt.assert_array_equal(dot, dot.T)
+    stream = SplitMix64(substream_seed(46, 0))
+    for n in (1, 2, 5, 13):
+        s = lattice.LatticeState(random_state(n, stream))
+        L = lattice.lax_from_state(s)
+        dense = L.densify()
+        a = lattice.build_A(s)
+        assert np.array_equal(lattice.lax_rhs(L), dense @ a - a @ dense)
+        m = lattice.CALIBRATED_SIGN * lattice.lax_rhs(L)
+        npt.assert_allclose(2.0 * L.c * np.diagonal(m, 1), lattice.volterra_rhs(s),
+                            rtol=1e-13, atol=1e-13)
 
 
 def test_pushforward_forms_and_validation():
@@ -283,7 +291,7 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
         L = lattice.lax_from_state(s)
         for sigma in (1, -1):
             fields = {
-                "lax": lattice.lax_rhs(L, sigma),
+                "lax": sigma * lattice.lax_rhs(L),
                 "bracket": sigma * lattice.double_bracket_field(L),
             }
             for form, m in fields.items():
@@ -296,7 +304,7 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
         s = lattice.LatticeState(10.0 ** rng.uniform(-100.0, 100.0, n))
         L = lattice.lax_from_state(s)
         for sigma in (1, -1):
-            expected = 2.0 * L.c * np.diagonal(lattice.lax_rhs(L, sigma), 1)
+            expected = 2.0 * L.c * np.diagonal(sigma * lattice.lax_rhs(L), 1)
             got = _signed_pushforward(s, "lax", sigma)
             assert np.array_equal(_bits(got), _bits(expected))
     # the dense bracket overflows beyond about 1e70 (||L||^6 entries), so
@@ -318,7 +326,7 @@ def test_bracket_kernel_sees_what_the_dense_check_sees():
     for n in (3, 4, 12, 64):
         for _ in range(10):
             c = np.sqrt(10.0 ** rng.uniform(-30.0, 30.0, n))
-            field = lattice._bracket_field(c)
+            field = lattice.double_bracket_field(lattice.LaxMatrix(c))
             assert np.array_equal(field, field.T)
             kd = np.diagonal(lattice.build_K(n + 1))
             p = c[:-1] * c[1:]

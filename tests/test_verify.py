@@ -1,6 +1,8 @@
 import pytest
 
-from volterra_lab import lattice, verify
+from volterra_lab import geometry, lattice, verify
+from volterra_lab.core import commutator
+from volterra_lab.rng import uniform_matrix
 
 
 def test_small_battery_passes():
@@ -75,7 +77,7 @@ def test_sign_row_fails_when_the_constant_is_wrong(monkeypatch):
 
 def test_sign_row_fails_when_the_lax_field_is_reversed(monkeypatch):
     real = lattice.lax_rhs
-    monkeypatch.setattr(lattice, "lax_rhs", lambda L, sigma: -real(L, sigma))
+    monkeypatch.setattr(lattice, "lax_rhs", lambda L: -real(L))
     assert lattice.calibrate_sign().sigma == +1
     check = verify.check_sign_calibration(seed=1)
     assert not check.passed
@@ -113,3 +115,19 @@ def test_pushforwards_match_the_dense_public_fields_exactly():
             for form in ("lax", "bracket"):
                 out = lattice.pushforward_rhs(s, form)
                 assert verify._dense_gap(s, form, out) == 0.0
+
+
+def test_gradient_pairing_has_the_bits_of_the_normal_metric():
+    # the one pairing that the battery and gradient-check share: the
+    # gradient's coordinates are solved once, and each direction pairs as
+    # normal_metric pairs it
+    _, ctx, stream, _ = verify.draw_context(5, 4, 6, 0)
+    pair = verify.gradient_pairing(ctx)
+    grad = geometry.orbit_gradient(ctx)
+    for _ in range(5):
+        t = uniform_matrix(7, stream)
+        v = geometry.TangentVector(ctx.base, commutator(ctx.dense, t))
+        dd, nm = pair(t)
+        assert dd == geometry.directional_derivative(ctx.base, t)
+        assert nm == geometry.normal_metric(ctx, grad, v)
+        assert abs(dd - nm) <= 1e-11 * (1.0 + abs(dd))
