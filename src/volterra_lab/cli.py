@@ -24,12 +24,13 @@ only on one numpy build.
 
 Exit codes: 0 success, 2 configuration error (including a config file that
 cannot be read or decoded, an ``--out`` that cannot be written, which is
-refused before any stepping, a window t1 - t0 that overflows, and fewer
-than two distinct gradient-check eps values, and a run too large for the
-machine's memory), 3 integration failure (including a state that leaves
-the positive cone under rk4 and an adaptive45 run that reaches 1e8
-attempts), 4 verification failure.  A failing command prints one line on
-stderr and, except a battery that ran and failed, nothing on stdout.
+refused before any stepping, a window t1 - t0 that overflows, an adaptive45
+h0 below its step-underflow floor, fewer than two distinct gradient-check
+eps values, and a run too large for the machine's memory), 3 integration
+failure (including a state that leaves the positive cone under rk4 and an
+adaptive45 run that reaches 1e8 attempts), 4 verification failure.  A failing
+command prints one line on stderr and, except a battery that ran and failed,
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
     from . import verify
 
     slopes = []
-    pairing_worst = 0.0
+    pairings = []
     # The table is printed once every trial has run, so a run that fails
     # leaves stdout empty.
     rows = [f"{'trial':>5}  {'eps':>9}  {'fd':>23}  {'closed_form':>23}  {'|fd-closed|':>12}"]
@@ -312,7 +313,7 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
         t = rng.skew_matrix(n + 1, stream)
         t = 10.0 * t / max(1e-30, float(np.linalg.norm(t)))
         dd, nm = verify.gradient_pairing(ctx)(t)
-        pairing_worst = max(pairing_worst, abs(dd - nm) / (1.0 + abs(dd)))
+        pairings.append(abs(dd - nm) / (1.0 + abs(dd)))
         errs = []
         for eps in eps_list:
             fd = geometry.finite_difference_directional(ctx.base, t, eps)
@@ -321,6 +322,7 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
             rows.append(f"{trial:>5}  {eps:>9.1e}  {fd:>23.16g}  {dd:>23.16g}  {err:>12.3e}")
         slopes.append(float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0]))
     mean_slope = float(np.mean(slopes))
+    pairing_worst = float(np.max(pairings))  # a NaN fails the check below
     print("\n".join(rows))
     print(
         f"mean convergence order = {mean_slope:.3f} (expect 2.0 +/- 0.2); "

@@ -86,10 +86,11 @@ class TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class OrbitContext:
-    """Eigen data of a base point, shared by the operations at that point."""
+    """L, the gradient's generator [L^2, K] (both read-only) and eigen data of a base point."""
 
     base: LaxMatrix
     dense: np.ndarray
+    generator: np.ndarray
     eig: EigenDecomposition
     gap_min: float
 
@@ -109,7 +110,9 @@ def orbit_context(L: LaxMatrix) -> OrbitContext:
         raise DegenerateSpectrumError(
             f"eigenvalue gap {gap_min:.3g} at or below threshold {threshold:.3g}"
         )
-    return OrbitContext(base=L, dense=dense, eig=eig, gap_min=gap_min)
+    generator = commutator(dense @ dense, build_K(L.dim))
+    generator.flags.writeable = False
+    return OrbitContext(base=L, dense=dense, generator=generator, eig=eig, gap_min=gap_min)
 
 
 def centralizer_project(ctx: OrbitContext, t) -> np.ndarray:
@@ -165,13 +168,11 @@ def normal_metric(ctx: OrbitContext, v1: TangentVector, v2: TangentVector) -> fl
 def orbit_gradient(ctx: OrbitContext) -> TangentVector:
     """Gradient of f in the normal metric, the tangent vector [L, [L^2, K]].
 
-    The generator [L^2, K] is already centralizer-free (its diagonal in the
-    eigenbasis vanishes entry by entry), which is what makes the double
-    bracket the gradient and not merely a tangent field.
+    The context's generator [L^2, K] is already centralizer-free (its
+    diagonal in the eigenbasis vanishes entry by entry), which is what makes
+    the double bracket the gradient and not merely a tangent field.
     """
-    dense = ctx.dense
-    mat = commutator(dense, commutator(dense @ dense, build_K(ctx.base.dim)))
-    return TangentVector(base=ctx.base, mat=mat)
+    return TangentVector(base=ctx.base, mat=commutator(ctx.dense, ctx.generator))
 
 
 def directional_derivative(L: LaxMatrix, t) -> float:

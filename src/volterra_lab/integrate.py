@@ -126,7 +126,10 @@ class _StageDomainError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration request: scheme, form, window, steps, tolerances, sampling."""
+    """Integration request: scheme, form, window, steps, tolerances, sampling.
+
+    An adaptive45 h0 below the loop's step floor 1e-14 (t1 - t0) is refused.
+    """
 
     method: str = "rk4"
     form: str = "direct"
@@ -166,6 +169,10 @@ class IntegratorConfig:
         every = self.record_every
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError("record_every must be a positive integer")
+        floor = _UNDERFLOW_FRACTION * (self.t1 - self.t0)
+        if self.method == "adaptive45" and self.h0 < floor:
+            raise ValueError(f"adaptive45 h0 = {self.h0:.3g} is below the step floor "
+                             f"{_UNDERFLOW_FRACTION:.0e} * (t1 - t0) = {floor:.3g}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ re-derives from the dense Lax field.  No function takes a sign: both dense
 fields are the unsigned brackets, and the pushforward, the battery and
 ``geometry.gradient_flow_identity_check`` read CALIBRATED_SIGN from this
 module when they run, so every form runs the one flow that descends f.
+The constant is not in ``__all__``, so the package root keeps no stale copy.
 Reflecting the sites negates the direct field, so the time-reversed flow is
 the flow from the reflected state, read in reverse site order.
 """
@@ -35,8 +36,8 @@ import numpy as np
 
 from .core import _all_in_open, frobenius_inner
 
+# Not CALIBRATED_SIGN: a star import's copy would miss a patch of it here.
 __all__ = [
-    "CALIBRATED_SIGN",
     "FORMS",
     "InternalConsistencyError",
     "LatticeState",
@@ -191,16 +192,6 @@ def _generator(c: np.ndarray) -> np.ndarray:
     return _off_diagonals(c.size + 1, 2, prod, -prod)
 
 
-# Entries off the first off-diagonals, where the double bracket must vanish;
-# cached per dimension and read-only like K.
-@functools.lru_cache(maxsize=16)
-def _off_band(n1: int) -> np.ndarray:
-    r = np.arange(n1)
-    mask = np.abs(r[:, None] - r) != 1
-    mask.flags.writeable = False
-    return mask
-
-
 def _commutator_superdiagonal(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     # First superdiagonal of [L, X] in O(N), for X with x on its second
     # superdiagonal, -x on its second subdiagonal and zeros elsewhere.  There
@@ -320,7 +311,7 @@ def double_bracket_field(L: LaxMatrix) -> np.ndarray:
     field = dense @ inner - inner @ dense
     _tangency_check(
         float(np.abs(field - field.T).max()),
-        float(np.abs(field[_off_band(n1)]).max()),
+        float(np.abs(field[abs(np.subtract.outer(range(n1), range(n1))) != 1]).max()),
         float(np.linalg.norm(dense)),
     )
     return field

@@ -369,6 +369,21 @@ def test_overflowing_window_is_a_config_error(tmp_path, capsys, method, message)
     assert not out.exists()
 
 
+def test_adaptive_h0_below_the_step_floor_is_a_config_error(tmp_path, capsys):
+    # the loop refuses every step below 1e-14 (t1 - t0), so this run could
+    # never start; it used to exit 3 blaming stiffness
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--u0", "1,2", "--method", "adaptive45", "--h0", "1e-15",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: adaptive45 h0 = 1e-15 is below the step floor "
+        "1e-14 * (t1 - t0) = 1e-14\n"
+    )
+    assert not out.exists()
+    assert cli.main(argv[:6] + ["1e-14", "--out", str(out)]) == cli.EXIT_OK
+
+
 def test_integration_failure_exit_code(tmp_path, capsys):
     rc = cli.main(
         ["simulate", "--u0", "1,2", "--method", "adaptive45",
@@ -447,6 +462,24 @@ def test_gradient_check_command(capsys):
     assert "mean convergence order" in out
     slope = float(out.split("mean convergence order = ")[1].split(" ")[0])
     assert abs(slope - 2.0) <= 0.2
+
+
+def test_gradient_check_fails_a_nan_pairing(monkeypatch, capsys):
+    # trials 2 and 3 of 3 pair to NaN; max(worst, nan) kept the first trial's
+    # residual and the check exited 0
+    real = verify.gradient_pairing
+    calls = []
+
+    def nan_after_first(ctx):
+        pair = real(ctx)
+        calls.append(None)
+        if len(calls) == 1:
+            return pair
+        return lambda t: (pair(t)[0], np.nan)
+
+    monkeypatch.setattr(verify, "gradient_pairing", nan_after_first)
+    assert cli.main(["gradient-check", "--trials", "3"]) == cli.EXIT_VERIFICATION
+    assert capsys.readouterr().out.rstrip().endswith("/ (1 + |closed|) = nan")
 
 
 def test_gradient_check_rejects_large_eps(capsys):

@@ -79,5 +79,8 @@ def test_no_function_takes_a_sign():
                 assert not {"sigma", "sign"} & set(inspect.signature(fn).parameters), fn_name
         if name != "lattice":
             assert not hasattr(module, "CALIBRATED_SIGN"), name
+    # nor does the package root, whose star import would copy it
+    assert "CALIBRATED_SIGN" not in lattice.__all__
+    assert not hasattr(volterra_lab, "CALIBRATED_SIGN")
     assert not hasattr(lattice, "_check_sign") and not hasattr(lattice, "_bracket_field")
     assert "sigma" not in {f.name for f in dataclasses.fields(geometry.GradientFlowReport)}

@@ -19,6 +19,19 @@ def test_orbit_context_gap():
     assert ctx.dense.shape == (3, 3)
 
 
+def test_orbit_context_carries_the_generator_of_the_gradient():
+    # [L^2, K] is built once per context, read-only, with the bits of the
+    # expression each caller used to rebuild, and the gradient reads it
+    for n in (1, 2, 5, 8, 13):
+        for trial in range(4):
+            ctx = _context(random_state(n, SplitMix64(substream_seed(48, n, trial))))
+            g = commutator(ctx.dense @ ctx.dense, lattice.build_K(n + 1))
+            assert ctx.generator.tobytes() == g.tobytes()
+            assert not ctx.generator.flags.writeable
+            grad = geometry.orbit_gradient(ctx).mat
+            assert grad.tobytes() == commutator(ctx.dense, g).tobytes()
+
+
 def test_orbit_context_refuses_near_degenerate():
     with pytest.raises(geometry.DegenerateSpectrumError):
         _context([1.0, 1e-20, 1.0])

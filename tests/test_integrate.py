@@ -5,6 +5,7 @@ import pytest
 import dataclasses
 import importlib
 import inspect
+import math
 import warnings
 
 # the package re-exports the integrate() function over the submodule name,
@@ -14,6 +15,12 @@ from volterra_lab import lattice
 from volterra_lab.core import trace_power
 from volterra_lab.lattice import CALIBRATED_SIGN, LatticeState, volterra_rhs
 from volterra_lab.rng import SplitMix64, random_state, substream_seed
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is in the test extra; its property skips
+    given = None
 
 
 def _state(*u):
@@ -42,7 +49,7 @@ def test_config_validation():
     # t1 - t0 = inf would make every step look like the last one
     with pytest.raises(ValueError, match="t1 - t0 overflows"):
         itg.IntegratorConfig(method="adaptive45", t0=-1e308, t1=1e308)
-    itg.IntegratorConfig(method="adaptive45", h0=1e-300)
+    itg.IntegratorConfig(method="adaptive45", h0=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -488,6 +495,18 @@ def test_step_underflow_from_hopeless_tolerance(monkeypatch):
         itg.integrate(cfg, _state(1.0, 1.0))
 
 
+def test_adaptive_h0_below_the_step_floor_is_refused():
+    # the adaptive loop refuses any step below _UNDERFLOW_FRACTION * (t1 - t0),
+    # so a smaller h0 is a setup error, as an rk4 run past its step limit is
+    with pytest.raises(ValueError, match=r"h0 = 1e-15 is below the step floor 1e-14 \* \(t1 - t0\)"):
+        itg.IntegratorConfig(method="adaptive45", h0=1e-15)
+    with pytest.raises(ValueError, match=r"h0 = 1e-06 is below the step floor .* = 4e-06"):
+        itg.IntegratorConfig(method="adaptive45", t0=-1e8, t1=3e8, h0=1e-6)
+    itg.IntegratorConfig(method="adaptive45", t0=-1e8, t1=3e8, h0=4e-6)
+    # rk4 has no such floor: its steps are fixed and counted up front
+    itg.IntegratorConfig(method="rk4", h0=1e-15, t1=1e-8)
+
+
 def test_adaptive_step_that_does_not_advance_t_raises():
     # near t = 1e6 a step of 1e-12 is below half an ulp of t; accepting it
     # would record a new state at an unchanged time
@@ -526,6 +545,91 @@ def test_time_reversed_flow_is_the_flow_on_reflected_sites():
     summary = itg.invariant_report(dataclasses.replace(rec, f_values=f_back))
     assert summary.f_final > summary.f_initial
     assert summary.f_violations == rec.n_samples - 1
+
+
+def _assert_scaling_symmetry(u0, a, **config):
+    # If u(t) solves the lattice, so does a u(a t): the fields are homogeneous
+    # of degree 2.  For a a power of 4 every scaling below is exact, so the run
+    # from a u0 over t1 / a with h0 / a and a tol_abs (tol_rel unchanged) has
+    # a times the states, 1 / a times the times and a times f, bit for bit,
+    # and the same step counts; sqrt(a) is a power of 2, so the couplings and
+    # traces scale exactly too.  The spectra come from LAPACK, so they are held
+    # to 4 ulp of sqrt(a) times the sample's largest |lambda|.  Both sides
+    # must stay clear of overflow and of subnormals.
+    cfg = itg.IntegratorConfig(**config)
+    scaled = dataclasses.replace(
+        cfg, t0=cfg.t0 / a, t1=cfg.t1 / a, h0=cfg.h0 / a, tol_abs=a * cfg.tol_abs
+    )
+    try:
+        rec = itg.integrate(cfg, LatticeState(u0))
+    except itg.IntegrationError as exc:
+        with pytest.raises(type(exc)):
+            itg.integrate(scaled, LatticeState(a * u0))
+        return None
+    out = itg.integrate(scaled, LatticeState(a * u0))
+    assert out.states.tobytes() == (a * rec.states).tobytes()
+    assert out.times.tobytes() == (rec.times / a).tobytes()
+    assert out.f_values.tobytes() == (a * rec.f_values).tobytes()
+    assert out.traces.tobytes() == (rec.traces * np.array([a, a * a])).tobytes()
+    assert (out.accepted_steps, out.rejected_steps) == (rec.accepted_steps, rec.rejected_steps)
+    root = math.sqrt(a)
+    ulp = np.spacing(root * np.abs(rec.spectra).max(axis=1, keepdims=True))
+    assert (np.abs(out.spectra - root * rec.spectra) <= 4 * ulp).all()
+    return rec
+
+
+@pytest.mark.parametrize("a", [4.0, 0.25, 16.0])
+@pytest.mark.parametrize("method", ["rk4", "adaptive45"])
+@pytest.mark.parametrize("form", ["direct", "lax", "bracket"])
+def test_scaled_run_is_the_scaled_flow(form, method, a):
+    # sites in [0.1, 10) and t1 = 1 keep every state far from underflow:
+    # |d log u_n / dt| <= 2 sum(u0), as sum(u) = tr L^2 / 2 is conserved.
+    # The 3e-12 window puts steps and spans near the loop's absolute scales,
+    # where a constant in place of one relative to t1 - t0 would show.
+    windows = [(1.0, 0.02 if method == "rk4" else 0.25), (3e-12, 1e-13)]
+    rejected = 0
+    for n in (1, 2, 5, 8):
+        u0 = random_state(n, SplitMix64(substream_seed(49, n)))
+        for t1, h0 in windows:
+            rec = _assert_scaling_symmetry(
+                u0, a, method=method, form=form, t1=t1, h0=h0,
+                tol_abs=1e-9, tol_rel=1e-9, record_every=3,
+            )
+            rejected += rec.rejected_steps
+    # the adaptive runs start too large, so the rejection branch is covered
+    assert (rejected > 0) == (method == "adaptive45")
+
+
+if given is None:
+
+    def test_scaling_symmetry_property():
+        pytest.skip("hypothesis is not installed")
+
+else:
+
+    # 100 examples of at most 8 sites take about 1 s.  Sites in [0.1, 10] and
+    # t1 <= 1 keep every state above 1e-71 (|d log u_n / dt| <= 2 sum(u0)) and
+    # every product far from overflow, at a down to 1/16 and up to 16; rk4
+    # steps stay at or below 0.02, where its stages do not blow up.  Windows
+    # reach down to 1e-13, near the loop's absolute scales.
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        u0=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=8),
+        form=st.sampled_from(["direct", "lax", "bracket"]),
+        method=st.sampled_from(["rk4", "adaptive45"]),
+        power=st.sampled_from([-2, -1, 1, 2]),
+        decades=st.floats(-13.0, 0.0),
+        step=st.floats(0.25, 1.0),
+        tols=st.tuples(st.floats(1e-9, 1e-4), st.floats(1e-9, 1e-4)),
+        record_every=st.integers(1, 4),
+    )
+    def test_scaling_symmetry_property(u0, form, method, power, decades, step, tols, record_every):
+        t1 = 10.0**decades
+        h0 = min(t1, 0.02 if method == "rk4" else 0.5) * step
+        _assert_scaling_symmetry(
+            np.array(u0), 4.0**power, method=method, form=form, t1=t1, h0=h0,
+            tol_abs=tols[0], tol_rel=tols[1], record_every=record_every,
+        )
 
 
 def test_invariant_report_of_an_overflowing_trace_does_not_warn():

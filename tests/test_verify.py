@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from volterra_lab import geometry, lattice, verify
@@ -131,3 +132,44 @@ def test_gradient_pairing_has_the_bits_of_the_normal_metric():
         assert dd == geometry.directional_derivative(ctx.base, t)
         assert nm == geometry.normal_metric(ctx, grad, v)
         assert abs(dd - nm) <= 1e-11 * (1.0 + abs(dd))
+
+
+# Each row takes the worst residual over its trials with a NaN kept: Python's
+# max drops a NaN unless it comes first, and these rows used to pass.
+
+
+def test_a_nan_pushforward_fails_field_equivalence(monkeypatch):
+    real = lattice.pushforward_rhs
+
+    def nan_lax(s, form):
+        out = real(s, form)
+        return np.full_like(out, np.nan) if form == "lax" else out
+
+    monkeypatch.setattr(lattice, "pushforward_rhs", nan_lax)
+    check = verify.check_field_equivalence((1, 2, 3, 5, 8), 25, 1)
+    assert np.isnan(check.residual) and not check.passed
+
+
+def test_a_nan_pairing_fails_the_gradient_row(monkeypatch):
+    real = geometry._tangent_coordinates
+    calls = []
+
+    def every_second_nan(ctx, v):
+        calls.append(None)
+        coords = real(ctx, v)
+        return coords * np.nan if len(calls) % 2 == 0 else coords
+
+    monkeypatch.setattr(geometry, "_tangent_coordinates", every_second_nan)
+    check = verify.check_gradient_defining((1, 2, 3, 5, 8), 5, 1)
+    assert np.isnan(check.residual) and not check.passed
+
+
+def test_a_nan_trial_fails_its_sweep(monkeypatch):
+    real = verify._trial_lax_generator
+
+    def nan_third(seed, n, trial):
+        return (np.nan, 0) if trial == 3 else real(seed, n, trial)
+
+    monkeypatch.setattr(verify, "_trial_lax_generator", nan_third)
+    check = verify.check_lax_generator((1, 2, 3, 5, 8), 25, 1)
+    assert np.isnan(check.residual) and not check.passed
