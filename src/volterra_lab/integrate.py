@@ -8,9 +8,9 @@ same state representation and makes the trajectories directly comparable.
 The adaptive loop reuses the last stage of an accepted attempt, f(u5), as
 the first stage of the next one (first same as last), and a rejected attempt
 keeps its first stage, so each attempt costs 6 right-hand-side calls, plus
-one for the start.  An attempt stacks its stages as the rows of one (7, N)
-array; each stage combination is one multiply by a cached (s, N) tableau
-block and one row-sum in index order, the bits of the written-out sum.
+one for the start.  An attempt adds each stage, times its tableau column,
+to every stage combination that uses it as soon as the stage is computed,
+so each combination sums in stage order, the bits of the written-out sum.
 
 The matrix forms always run in lattice.CALIBRATED_SIGN, so every form
 descends f, and the invariant report counts each rise of f as a violation.
@@ -26,14 +26,14 @@ spectrum and traces are conserved by the exact flow and serve as accuracy
 meters for the discrete one.  On one machine t, u and f are byte-deterministic
 and neither the fields nor f make a BLAS call.  Across machines rk4 runs of
 every form use only IEEE arithmetic and sqrt (the bracket's one BLAS dot
-product sets only the tolerance of its tangency check); adaptive runs also
-depend on the C library's pow through the controller's err_est ** -0.2.  The
-spectrum is byte-identical only on one LAPACK build.
+product sets only the tolerance of its tangency check); the t and u bits of
+adaptive runs rest only on IEEE arithmetic, sqrt and the C library's pow,
+through the controller's err_est ** -0.2, and on no reduction order of
+numpy.  The spectrum is byte-identical only on one LAPACK build.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -128,7 +128,9 @@ class _StageDomainError(IntegrationError):
 class IntegratorConfig:
     """Integration request: scheme, form, window, steps, tolerances, sampling.
 
-    An adaptive45 h0 below the loop's step floor 1e-14 (t1 - t0) is refused.
+    An adaptive45 h0 below the loop's step floor 1e-14 (t1 - t0) is refused,
+    and so is an h0 that does not advance t: at t0 for adaptive45, and for
+    rk4 at whichever of t0 and t1 has the larger magnitude.
     """
 
     method: str = "rk4"
@@ -173,6 +175,11 @@ class IntegratorConfig:
         if self.method == "adaptive45" and self.h0 < floor:
             raise ValueError(f"adaptive45 h0 = {self.h0:.3g} is below the step floor "
                              f"{_UNDERFLOW_FRACTION:.0e} * (t1 - t0) = {floor:.3g}")
+        # adaptive45's first step starts at t0; rk4's fixed step must also
+        # advance the end of the window where the spacing of floats is widest.
+        at = self.t0 if self.method == "adaptive45" else max(self.t0, self.t1, key=abs)
+        if at + min(self.h0, self.t1 - self.t0) == at:
+            raise ValueError(f"{self.method} h0 = {self.h0:.3g} does not advance t = {at:.6g}")
 
 
 @dataclass(frozen=True)
@@ -218,32 +225,27 @@ _DP_ROWS = (
 )
 
 
-# Each tableau row as a read-only C-ordered (s, n) block, so a stage
-# combination is one equal-shape multiply against the first s stages.  One
-# run uses one n; the bound only caps a long-lived process.
-@functools.lru_cache(maxsize=16)
-def _dp_blocks(n: int) -> tuple:
-    blocks = tuple(np.repeat(np.array(row)[:, None], n, axis=1) for row in _DP_ROWS)
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
+# Column j of _DP_ROWS, rows j..6, as a read-only (7 - j, 1) array: stage
+# j + 1's weight in each combination that uses it, zeros included, so that a
+# non-finite k2 makes u5 and err non-finite and the loop rejects the attempt.
+_DP_COLS = tuple(np.array([row[j] for row in _DP_ROWS[j:]])[:, None] for j in range(7))
+for _col in _DP_COLS:
+    _col.flags.writeable = False
 
 
 def _dopri_raw(f, u, h, k1=None):
     # One attempt from u with step h.  k1 = f(u) may be passed in; the last
     # stage k7 = f(u5) is returned so the caller can reuse it as the next
-    # step's k1 (first same as last).  np.add.reduce over axis 0 adds the
-    # rows of a C-ordered block in index order, the order of the written-out
-    # sum w1 k1 + w2 k2 + ... (tests/test_integrate.py pins this and the bits).
-    blocks = _dp_blocks(u.size)
-    ks = np.empty((7, u.size))
-    ks[0] = f(u) if k1 is None else k1
-    for s in range(1, 6):
-        ks[s] = f(u + h * np.add.reduce(blocks[s - 1] * ks[:s], 0))
-    u5 = u + h * np.add.reduce(blocks[5] * ks[:6], 0)
-    ks[6] = f(u5)
-    err = h * np.add.reduce(blocks[6] * ks, 0)
-    return u5, err, ks[6]
+    # step's k1 (first same as last).  Row i of acc sums tableau row i as the
+    # stages arrive, w1 k1 + w2 k2 + ... in stage order, with elementwise IEEE
+    # products and sums alone (tests/test_integrate.py pins the bits).
+    acc = _DP_COLS[0] * (f(u) if k1 is None else k1)
+    for j in range(1, 6):
+        acc[j:] += _DP_COLS[j] * f(u + h * acc[j - 1])
+    u5 = u + h * acc[5]
+    k7 = f(u5)
+    acc[6:] += _DP_COLS[6] * k7
+    return u5, h * acc[6], k7
 
 
 def _controller_factor(err_est: float) -> float:

@@ -13,7 +13,7 @@ import warnings
 itg = importlib.import_module("volterra_lab.integrate")
 from volterra_lab import lattice
 from volterra_lab.core import trace_power
-from volterra_lab.lattice import CALIBRATED_SIGN, LatticeState, volterra_rhs
+from volterra_lab.lattice import CALIBRATED_SIGN, FORMS, LatticeState, volterra_rhs
 from volterra_lab.rng import SplitMix64, random_state, substream_seed
 
 try:
@@ -433,23 +433,50 @@ def test_dormand_prince_attempt_bits_are_pinned(form):
         assert tuple(float(x).hex() for x in vec) == want, name
 
 
+def _python_attempt(field, u, h):
+    # One Dormand-Prince attempt in Python floats, site by site: each stage
+    # state is u + h * ((w1 k1 + w2 k2) + ...), summed in stage order from
+    # the rows of _DP_ROWS; only the stages come from numpy, from the field.
+    u = u.tolist()
+    ks = [field(np.array(u)).tolist()]
+    sums = []
+    for row in itg._DP_ROWS:
+        total = [row[0] * k for k in ks[0]]
+        for w, k in zip(row[1:], ks[1:]):
+            total = [acc + w * x for acc, x in zip(total, k)]
+        sums.append(total)
+        if len(ks) < 7:
+            ks.append(field(np.array([a + h * b for a, b in zip(u, total)])).tolist())
+    u5 = [a + h * b for a, b in zip(u, sums[5])]
+    return u5, [h * b for b in sums[6]], ks[6]
+
+
+def _attempt_outcome(attempt, field, u, h):
+    try:
+        return [np.array(v, dtype=float).view(np.int64).tolist() for v in attempt(field, u, h)]
+    except itg._StageDomainError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("n", [1, 2, 8, 128])
-def test_stacked_stage_sums_keep_the_written_out_order(n):
-    # The kernel relies on np.add.reduce over axis 0 of a C-ordered (s, n)
-    # block adding its rows in index order; a numpy that reorders outer-axis
-    # reductions would change the integrator's output bits.
+def test_dormand_prince_attempt_matches_a_python_oracle(n):
+    # u5, err and k7 of the kernel equal, bit for bit, an attempt that sums
+    # in Python floats, so the kernel's bits rest on no reduction order of
+    # numpy.  Sites span 16 decades and h spans 5 below 0.1 / max(u), where
+    # most attempts stay in the positive cone.  The last attempt takes h = 10
+    # from sites 1, 2, 1, 2, ..., where the second stage state leaves it.
     gen = np.random.default_rng(n)
-    blocks = itg._dp_blocks(n)
-    assert [b.shape for b in blocks] == [(s, n) for s in range(1, 8)]
-    for _ in range(20):
-        ks = gen.standard_normal((7, n)) * 10.0 ** gen.integers(-8, 9, (7, n))
-        for s, block in enumerate(blocks, 1):
-            assert not block.flags.writeable
-            want = block[0] * ks[0]
-            for j in range(1, s):
-                want = want + block[j] * ks[j]
-            got = np.add.reduce(block * ks[:s], 0)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, n)
+    sites = [gen.uniform(0.5, 2.0, n) * 10.0 ** gen.uniform(-8, 8, n) for _ in range(15)]
+    cases = [(u, 10.0 ** gen.uniform(-6, -1) / u.max()) for u in sites]
+    cases.append((1.0 + np.arange(n) % 2, 10.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for form in FORMS:
+            field = itg._raw_field(form)
+            for u, h in cases:
+                want = _attempt_outcome(_python_attempt, field, u, h)
+                assert _attempt_outcome(itg._dopri_raw, field, u, h) == want, (form, h)
+            left_the_cone = isinstance(want, str)
+            assert left_the_cone == (form != "direct" and n > 1), form
 
 
 @pytest.mark.parametrize("form", ["lax", "bracket"])
@@ -507,12 +534,41 @@ def test_adaptive_h0_below_the_step_floor_is_refused():
     itg.IntegratorConfig(method="rk4", h0=1e-15, t1=1e-8)
 
 
-def test_adaptive_step_that_does_not_advance_t_raises():
-    # near t = 1e6 a step of 1e-12 is below half an ulp of t; accepting it
-    # would record a new state at an unchanged time
-    cfg = itg.IntegratorConfig(method="adaptive45", t0=1e6, t1=1e6 + 1e-3, h0=1e-12)
-    with pytest.raises(itg.StepUnderflowError, match="does not advance"):
+def test_h0_that_cannot_advance_t_is_refused():
+    # such runs used to stop in the loop with StepUnderflowError
+    for cfg, at in (
+        (dict(method="adaptive45", t0=1e6, t1=1e6 + 1e-3, h0=1e-12), "1e\\+06"),
+        (dict(method="rk4", t0=1e6, t1=1e6 + 1e-5, h0=1e-12), "1e\\+06"),
+        (dict(method="adaptive45", t0=-1e6, t1=-1e6 + 1e-3, h0=1e-12), "-1e\\+06"),
+        # rk4 is decided at the end of larger magnitude: 8e-17 advances
+        # 1 - 2^-30, where floats are 2^-53 apart, but not 1 + 2^-30
+        (dict(method="rk4", t0=1 - 2.0**-30, t1=1 + 2.0**-30, h0=8e-17), "1"),
+    ):
+        with pytest.raises(ValueError, match=f"{cfg['method']} h0 = .* does not advance t = {at}$"):
+            itg.IntegratorConfig(**cfg)
+    itg.IntegratorConfig(method="adaptive45", t0=1 - 2.0**-30, t1=1 + 2.0**-30, h0=8e-17)
+    itg.IntegratorConfig(method="rk4", t0=1e6, t1=1e6 + 1e-5, h0=1e-9)
+    # a single step shorter than h0 advances t0 whenever t1 > t0
+    itg.IntegratorConfig(method="rk4", t0=1e6, t1=np.nextafter(1e6, 2e6), h0=1.0)
+
+
+def test_adaptive_step_that_does_not_advance_t_raises(monkeypatch):
+    # h0 = 1e-9 advances t = 1e6, so the config passes.  The stages of the
+    # first two attempts are NaN, which shrinks h twice by 0.2 to 4e-11: below
+    # half an ulp of t (5.8e-11), far above the step floor 1e-17.  Accepting
+    # that step would record a new state at an unchanged time.
+    real = itg._volterra_raw
+    calls = []
+
+    def field(u):
+        calls.append(None)
+        return np.full_like(u, np.nan) if 2 <= len(calls) <= 13 else real(u)
+
+    monkeypatch.setattr(itg, "_volterra_raw", field)
+    cfg = itg.IntegratorConfig(method="adaptive45", t0=1e6, t1=1e6 + 1e-3, h0=1e-9)
+    with pytest.raises(itg.StepUnderflowError, match=r"step size 4e-11 does not advance"):
         itg.integrate(cfg, _state(1.0, 2.0))
+    assert len(calls) == 1 + 3 * 6  # the start's k1, then three attempts
 
 
 def test_invariant_report_conservation_on_flow():
