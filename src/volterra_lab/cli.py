@@ -46,7 +46,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import geometry, lattice, rng
-from .core import commutator, frobenius_inner, symmetric_eigen
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -258,7 +257,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     drift = invariant_report(record).eigenvalue_drift
     # One dense eigensolve per endpoint checks the sampled (SVD) spectra.
     dense = [
-        symmetric_eigen(lattice.lax_from_state(lattice.LatticeState(u)).densify()).eigenvalues
+        lattice.symmetric_eigen(lattice.lax_from_state(lattice.LatticeState(u)).densify())[0]
         for u in record.states[[0, -1]]
     ]
     gap = np.abs(record.spectra[[0, -1]] - dense).max(axis=0)
@@ -296,8 +295,8 @@ def _curve_derivatives(ctx, t) -> tuple:
     m = ctx.dense @ ctx.dense
     derivs = []
     for _ in range(5):
-        m = commutator(m, t)
-        derivs.append(frobenius_inner(k, m))
+        m = lattice.commutator(m, t)
+        derivs.append(lattice.frobenius_inner(k, m))
     return derivs[2], derivs[4]
 
 
@@ -328,7 +327,10 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
         t = rng.skew_matrix(n + 1, stream)
         t = 10.0 * t / max(1e-30, float(np.linalg.norm(t)))
         dd, nm = verify.gradient_pairing(ctx)(t)
-        pairings.append(abs(dd - nm) / (1.0 + abs(dd)))
+        # The normal-metric solve divides by eigenvalue gaps, so its rounding
+        # grows like ||L|| / gap_min; the bound adds 64 ulps of that to 1e-11.
+        pairing_bound = 1e-11 + 64.0 * 2.0**-52 * float(np.linalg.norm(ctx.dense)) / ctx.gap_min
+        pairings.append(abs(dd - nm) / (1.0 + abs(dd)) / pairing_bound)
         f3, f5 = _curve_derivatives(ctx, t)
         # rounding / eps allows fd 16 ulps of 1 + |f| over 2 eps
         rounding = 8.0 * 2.0**-52 * (1.0 + abs(lattice.trace_objective(ctx.dense)))
@@ -351,9 +353,9 @@ def cmd_gradient_check(n: int, trials: int, seed: int, eps_list: tuple) -> int:
     print(
         f"mean convergence order = {mean_slope:.3f} (informational); "
         f"max |fd - closed - eps^2 f'''/6| / bound = {ratio_worst:.3e}; "
-        f"max |closed - metric| / (1 + |closed|) = {pairing_worst:.3e}"
+        f"max |closed - metric| / (1 + |closed|) / bound = {pairing_worst:.3e}"
     )
-    ok = ratio_worst <= 1.0 and pairing_worst <= 1e-11
+    ok = ratio_worst <= 1.0 and pairing_worst <= 1.0
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .core import EigenDecomposition, commutator, expm_small, frobenius_inner, symmetric_eigen
 from .lattice import (
     LatticeState,
     LaxMatrix,
     _dense_lax,
     build_K,
+    commutator,
+    frobenius_inner,
     lax_from_state,
+    symmetric_eigen,
     trace_objective,
     volterra_rhs,
 )
@@ -40,6 +42,7 @@ __all__ = [
     "TangentVector",
     "centralizer_project",
     "directional_derivative",
+    "expm_small",
     "finite_difference_directional",
     "gradient_flow_identity_check",
     "normal_metric",
@@ -86,12 +89,13 @@ class TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class OrbitContext:
-    """L, the gradient's generator [L^2, K] (both read-only) and eigen data of a base point."""
+    """A base point's L, generator [L^2, K], ascending eigenvalues and their basis; read-only."""
 
     base: LaxMatrix
     dense: np.ndarray
     generator: np.ndarray
-    eig: EigenDecomposition
+    eigenvalues: np.ndarray
+    basis: np.ndarray
     gap_min: float
 
 
@@ -102,9 +106,8 @@ def orbit_context(L: LaxMatrix) -> OrbitContext:
     exceed DEGENERACY_RTOL times ||L||.
     """
     dense = L.densify()
-    eig = symmetric_eigen(dense)
-    gaps = np.diff(eig.eigenvalues)
-    gap_min = float(gaps.min())
+    eigenvalues, basis = symmetric_eigen(dense)
+    gap_min = float(np.diff(eigenvalues).min())
     threshold = DEGENERACY_RTOL * float(np.linalg.norm(dense))
     if gap_min <= threshold:
         raise DegenerateSpectrumError(
@@ -112,7 +115,8 @@ def orbit_context(L: LaxMatrix) -> OrbitContext:
         )
     generator = commutator(dense @ dense, build_K(L.dim))
     generator.flags.writeable = False
-    return OrbitContext(base=L, dense=dense, generator=generator, eig=eig, gap_min=gap_min)
+    return OrbitContext(base=L, dense=dense, generator=generator, eigenvalues=eigenvalues,
+                        basis=basis, gap_min=gap_min)
 
 
 def centralizer_project(ctx: OrbitContext, t) -> np.ndarray:
@@ -123,7 +127,7 @@ def centralizer_project(ctx: OrbitContext, t) -> np.ndarray:
     and the identity on commutators with the base point.
     """
     t = np.asarray(t, dtype=float)
-    q = ctx.eig.basis
+    q = ctx.basis
     if t.shape != q.shape:
         raise ValueError(f"expected shape {q.shape}, got {t.shape}")
     w = q.T @ t @ q
@@ -142,8 +146,8 @@ def _tangent_coordinates(ctx: OrbitContext, v: TangentVector) -> np.ndarray:
     """
     if v.base is not ctx.base and not np.array_equal(v.base.c, ctx.base.c):
         raise ValueError("tangent vector is bound to a different base point")
-    q = ctx.eig.basis
-    lam = ctx.eig.eigenvalues
+    q = ctx.basis
+    lam = ctx.eigenvalues
     w = q.T @ v.mat @ q
     scale = float(np.linalg.norm(v.mat))
     diag_residual = float(np.abs(np.diag(w)).max())
@@ -186,6 +190,29 @@ def directional_derivative(L: LaxMatrix, t) -> float:
     if t.shape != dense.shape:
         raise ValueError(f"expected shape {dense.shape}, got {t.shape}")
     return frobenius_inner(commutator(dense @ dense, build_K(L.dim)), t)
+
+
+def expm_small(m) -> np.ndarray:
+    """Exponential of a small-norm matrix by its Taylor series.
+
+    Intended for curve generators with Frobenius norm well below one, where
+    the series converges to machine precision in a handful of terms.  A
+    non-square or larger generator is refused rather than computed badly.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"generator must be square, got shape {m.shape}")
+    norm = float(np.linalg.norm(m))
+    if norm > 0.5:
+        raise ValueError(f"expm_small needs a small generator, got norm {norm:.3g}")
+    acc = np.eye(m.shape[0])
+    term = np.eye(m.shape[0])
+    for j in range(1, 60):
+        term = term @ m / j
+        acc = acc + term
+        if np.abs(term).max() <= 1e-18 * max(1.0, np.abs(acc).max()):
+            break
+    return acc
 
 
 def finite_difference_directional(L: LaxMatrix, t, eps: float) -> float:

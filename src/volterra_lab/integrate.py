@@ -40,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# symmetric_eigen, trace_power, lax_from_state and objective_f are unused
-# here; the traced benchmark run wraps them on this module (ROADMAP item 1).
-from .core import symmetric_eigen, trace_power  # noqa: F401
+# lax_from_state, objective_f, symmetric_eigen and trace_power are unused
+# here.  They stay bound because perfbench/tracing.py wraps them by name on
+# this module and fails without them; they can go when the benchmark's
+# per-layer metrics move to what runs now (ROADMAP items 1 and 9).
 from .lattice import (  # noqa: F401
     FORMS,
     LatticeState,
@@ -53,6 +54,8 @@ from .lattice import (  # noqa: F401
     lax_from_state,
     objective_f,
     pushforward_rhs,
+    symmetric_eigen,
+    trace_power,
 )
 
 __all__ = [

@@ -14,6 +14,11 @@ nonzero entry of the dense products there is a single product.  The bracket
 pushforward keeps the tangency check of the dense field, on the only
 entries where it can fail.
 
+The module also holds the dense kernels the others share: the commutator
+and the Frobenius pairing tr(X Y^T), which refuse operands numpy would
+broadcast, and, outside ``__all__``, the eigensolve and tr X^k of a dense
+Lax matrix, which trust the matrices ``densify`` builds.
+
 Orientation of the commutator forms relative to the direct equations is a
 constant of the construction, CALIBRATED_SIGN, which ``calibrate_sign``
 re-derives from the dense Lax field.  No function takes a sign: both dense
@@ -34,8 +39,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import _all_in_open, frobenius_inner
-
 # Not CALIBRATED_SIGN: a star import's copy would miss a patch of it here.
 __all__ = [
     "FORMS",
@@ -46,7 +49,9 @@ __all__ = [
     "build_A",
     "build_K",
     "calibrate_sign",
+    "commutator",
     "double_bracket_field",
+    "frobenius_inner",
     "lax_from_state",
     "lax_rhs",
     "objective_f",
@@ -71,6 +76,55 @@ TANGENCY_RTOL = 1e-12
 
 class InternalConsistencyError(RuntimeError):
     """An algebraic identity the implementation relies on failed numerically."""
+
+
+def _all_in_open(x: np.ndarray, lo: float, hi: float) -> bool:
+    # Every entry of the nonempty array x lies strictly between lo and hi.
+    # Two reductions cost less than a boolean temporary and .all() on short
+    # vectors, and the ufunc reductions skip the x.min()/x.max() wrappers;
+    # NaN propagates through both and fails both comparisons.
+    return bool(lo < np.minimum.reduce(x, None) and np.maximum.reduce(x, None) < hi)
+
+
+def _same_square(x, y) -> tuple[np.ndarray, np.ndarray]:
+    # numpy would broadcast a vector or a 1 x 1 operand into a wrong number.
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape != y.shape:
+        raise ValueError(f"operands must be square of one dimension, got {x.shape} and {y.shape}")
+    return x, y
+
+
+def commutator(x, y) -> np.ndarray:
+    """Return [X, Y] = XY - YX for square matrices of equal dimension."""
+    x, y = _same_square(x, y)
+    return x @ y - y @ x
+
+
+def frobenius_inner(x, y) -> float:
+    """Trace inner product <X, Y> = tr(X Y^T), the entrywise dot product."""
+    x, y = _same_square(x, y)
+    return float(np.sum(x * y))
+
+
+def symmetric_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ascending eigenvalues and eigenvector columns of a dense Lax matrix.
+
+    ``numpy.linalg.eigh`` on ``densify()`` output, which is exactly
+    symmetric and finite, so nothing is checked or symmetrized.
+    """
+    eigenvalues, basis = np.linalg.eigh(s)
+    eigenvalues.flags.writeable = False
+    basis.flags.writeable = False
+    return eigenvalues, basis
+
+
+def trace_power(x: np.ndarray, k: int) -> float:
+    """tr(X^k) for an integer k >= 1 by repeated multiplication."""
+    p = x
+    for _ in range(k - 1):
+        p = p @ x
+    return float(np.trace(p))
 
 
 def _require_finite_positive(arr: np.ndarray, name: str) -> None:

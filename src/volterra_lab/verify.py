@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, lattice, rng
-from .core import commutator, frobenius_inner
 from .integrate import TRACE_POWERS, IntegratorConfig, integrate, invariant_report
+from .lattice import commutator, frobenius_inner
 
 __all__ = [
     "CheckResult",

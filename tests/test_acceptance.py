@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from volterra_lab import geometry, lattice, verify
-from volterra_lab.core import commutator
 from volterra_lab.integrate import IntegratorConfig, integrate, invariant_report
-from volterra_lab.lattice import CALIBRATED_SIGN, LatticeState
+from volterra_lab.lattice import CALIBRATED_SIGN, LatticeState, commutator
 from volterra_lab.rng import SplitMix64, random_state, skew_matrix, substream_seed
 
 SEED = 2025

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from volterra_lab import cli, geometry, lattice, verify
-from volterra_lab.core import expm_small
+from volterra_lab.geometry import expm_small
 from volterra_lab.integrate import IntegratorConfig, integrate
 from volterra_lab.lattice import LatticeState
 
@@ -481,7 +481,7 @@ def test_gradient_check_fails_a_nan_pairing(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "gradient_pairing", nan_after_first)
     assert cli.main(["gradient-check", "--trials", "3"]) == cli.EXIT_VERIFICATION
-    assert capsys.readouterr().out.rstrip().endswith("/ (1 + |closed|) = nan")
+    assert capsys.readouterr().out.rstrip().endswith("/ (1 + |closed|) / bound = nan")
 
 
 def _gradient_check_ratio(last_line: str) -> float:
@@ -529,6 +529,30 @@ def test_gradient_check_fails_a_broken_derivative(monkeypatch, capsys, mutate):
     mutate(monkeypatch)
     assert cli.main(["gradient-check"]) == cli.EXIT_VERIFICATION
     assert _gradient_check_ratio(capsys.readouterr().out.splitlines()[-1]) > 1e6
+
+
+def _gradient_check_pairing(last_line: str) -> float:
+    return float(last_line.rsplit("/ bound = ", 1)[1])
+
+
+def test_gradient_check_pairing_bound_follows_the_gap(capsys):
+    # trial 4 of this seed has gap_min / ||L|| = 2.0e-5 and a pairing residual
+    # of 1.141e-11, which failed a fixed 1e-11 bound on correct code; the
+    # normal-metric solve divides by the gaps, and the bound follows them
+    assert cli.main(["gradient-check", "--n", "12", "--seed", "289"]) == cli.EXIT_OK
+    assert _gradient_check_pairing(capsys.readouterr().out.splitlines()[-1]) <= 0.05
+
+
+@pytest.mark.parametrize("n", ["6", "12"])
+def test_gradient_check_fails_a_scaled_gradient_in_the_pairing(monkeypatch, capsys, n):
+    # the gradient's metric coordinates come from [L, 1.01 [L^2, K]], while
+    # df([L, T]) keeps the true [L^2, K]
+    def scaled(ctx):
+        return geometry.TangentVector(ctx.base, lattice.commutator(ctx.dense, 1.01 * ctx.generator))
+
+    monkeypatch.setattr(geometry, "orbit_gradient", scaled)
+    assert cli.main(["gradient-check", "--n", n, "--seed", "289"]) == cli.EXIT_VERIFICATION
+    assert _gradient_check_pairing(capsys.readouterr().out.splitlines()[-1]) > 1e8
 
 
 def test_gradient_check_rejects_large_eps(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 import volterra_lab
 from volterra_lab import geometry, lattice
 
-SUBMODULES = ("cli", "core", "geometry", "integrate", "lattice", "rng", "verify")
+SUBMODULES = ("cli", "geometry", "integrate", "lattice", "rng", "verify")
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -51,7 +52,7 @@ def test_the_second_stepping_api_is_gone(name):
 def test_package_all_is_the_four_submodules_lists():
     # the package root restates no public name: its __all__ is the union of
     # the re-exported submodules' own lists, plus the version
-    reexported = ("core", "geometry", "integrate", "lattice")
+    reexported = ("geometry", "integrate", "lattice")
     expected = ["__version__"]
     for name in reexported:
         expected += importlib.import_module(f"volterra_lab.{name}").__all__
@@ -63,7 +64,23 @@ def test_package_all_is_the_four_submodules_lists():
     assert volterra_lab.integrate is sys.modules["volterra_lab.integrate"].integrate
 
 
-@pytest.mark.parametrize("module, name", [("rng", "symmetric_matrix"), ("core", "_frobenius_norm")])
+@pytest.mark.parametrize(
+    "name",
+    ["DimensionMismatchError", "NotSymmetricError", "EigenDecomposition", "symmetric_eigen",
+     "trace_power"],
+)
+def test_the_core_module_is_gone(name):
+    # core's kernels live in lattice and geometry; its validation of matrices
+    # the package builds itself went with it, and its eigensolve and trace
+    # power are lattice internals
+    assert name not in volterra_lab.__all__
+    assert not hasattr(volterra_lab, name)
+    assert importlib.util.find_spec("volterra_lab.core") is None
+
+
+@pytest.mark.parametrize(
+    "module, name", [("rng", "symmetric_matrix"), ("lattice", "_frobenius_norm")]
+)
 def test_hand_copies_of_shared_helpers_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"volterra_lab.{module}"), name)
     assert not hasattr(volterra_lab, name)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from volterra_lab import geometry, lattice
-from volterra_lab.core import commutator, frobenius_inner
+from volterra_lab.lattice import commutator, frobenius_inner
 from volterra_lab.rng import SplitMix64, random_state, skew_matrix, substream_seed, uniform_matrix
 
 
@@ -21,13 +21,18 @@ def test_orbit_context_gap():
 
 def test_orbit_context_carries_the_generator_of_the_gradient():
     # [L^2, K] is built once per context, read-only, with the bits of the
-    # expression each caller used to rebuild, and the gradient reads it
+    # expression each caller used to rebuild, and the gradient reads it; the
+    # eigen data the context shares is read-only too, with the bits of eigh
     for n in (1, 2, 5, 8, 13):
         for trial in range(4):
             ctx = _context(random_state(n, SplitMix64(substream_seed(48, n, trial))))
             g = commutator(ctx.dense @ ctx.dense, lattice.build_K(n + 1))
             assert ctx.generator.tobytes() == g.tobytes()
             assert not ctx.generator.flags.writeable
+            eigenvalues, basis = np.linalg.eigh(ctx.dense)
+            assert ctx.eigenvalues.tobytes() == eigenvalues.tobytes()
+            assert ctx.basis.tobytes() == basis.tobytes()
+            assert not ctx.eigenvalues.flags.writeable and not ctx.basis.flags.writeable
             grad = geometry.orbit_gradient(ctx).mat
             assert grad.tobytes() == commutator(ctx.dense, g).tobytes()
 

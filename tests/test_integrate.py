@@ -12,8 +12,7 @@ import warnings
 # so fetch the module itself for monkeypatching and attribute access
 itg = importlib.import_module("volterra_lab.integrate")
 from volterra_lab import lattice
-from volterra_lab.core import trace_power
-from volterra_lab.lattice import CALIBRATED_SIGN, FORMS, LatticeState, volterra_rhs
+from volterra_lab.lattice import CALIBRATED_SIGN, FORMS, LatticeState, trace_power, volterra_rhs
 from volterra_lab.rng import SplitMix64, random_state, substream_seed
 
 try:

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from volterra_lab import lattice
-from volterra_lab.core import commutator, frobenius_inner
+from volterra_lab.lattice import commutator, frobenius_inner
 from volterra_lab.rng import SplitMix64, random_state, substream_seed
 
 

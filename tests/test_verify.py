@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from volterra_lab import geometry, lattice, verify
-from volterra_lab.core import commutator
+from volterra_lab.lattice import commutator
 from volterra_lab.rng import uniform_matrix
 
 
