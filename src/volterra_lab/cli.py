@@ -369,10 +369,16 @@ def _add_run_flags(parser: argparse.ArgumentParser, keys):
             parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_RUN_KEYS[key][1])
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # One configuration-error line, not a usage block; subparsers inherit it.
+    def error(self, message):
+        raise ConfigError(message)
+
+
 # Parsing leaves the parser unchanged, so one instance serves every call.
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="volterra-lab",
         description="Volterra lattice laboratory: simulate, verify, inspect.",
     )
@@ -403,9 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         if ns.command == "simulate":
             return cmd_simulate(build_run_config(ns))
         if ns.command == "spectrum":

@@ -15,9 +15,10 @@ so each combination sums in stage order, the bits of the written-out sum.
 The matrix forms always run in lattice.CALIBRATED_SIGN, so every form
 descends f, and the invariant report counts each rise of f as a violation.
 
-Positivity of u is an invariant of the exact flow, so a step that leaves the
-positive cone is numerical damage: the adaptive loop rejects it and halves
-the step, the fixed-step loop aborts with a diagnostic.
+Positivity of u is an invariant of the exact flow, so a step, or a matrix
+form's stage state, that leaves the positive cone is numerical damage: the
+adaptive loop rejects it and halves the step, the fixed-step loop aborts with
+a diagnostic.  The fields only compute; the loops check after an attempt.
 
 Sampling stores t and u only.  After the loop one vectorised pass adds the
 objective f = sum (2n+1) u_n / 4, the Lax spectrum from a batched bidiagonal
@@ -47,6 +48,7 @@ import numpy as np
 from .lattice import (  # noqa: F401
     FORMS,
     LatticeState,
+    _all_in_open,
     _lax_spectra,
     _require_finite_positive,
     _state_view,
@@ -120,11 +122,6 @@ class PositivityAbortError(IntegrationError):
 
 class PropagationError(IntegrationError):
     """A right-hand side evaluation returned a non-finite derivative."""
-
-
-class _StageDomainError(IntegrationError):
-    # Internal: a stage state failed validation; policy is decided by the loop.
-    pass
 
 
 @dataclass(frozen=True)
@@ -203,11 +200,12 @@ class TrajectoryRecord:
 
 
 def _rk4_raw(f, u, h):
+    # One step from u, and its stage states y2, y3, y4 for the loop to check.
     k1 = f(u)
-    k2 = f(u + 0.5 * h * k1)
-    k3 = f(u + 0.5 * h * k2)
-    k4 = f(u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(y2 := u + 0.5 * h * k1)
+    k3 = f(y3 := u + 0.5 * h * k2)
+    k4 = f(y4 := u + h * k3)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (y2, y3, y4)
 
 
 # Dormand-Prince 5(4) tableau, one row per stage combination.  Rows 1-5
@@ -241,14 +239,15 @@ def _dopri_raw(f, u, h, k1=None):
     # stage k7 = f(u5) is returned so the caller can reuse it as the next
     # step's k1 (first same as last).  Row i of acc sums tableau row i as the
     # stages arrive, w1 k1 + w2 k2 + ... in stage order, with elementwise IEEE
-    # products and sums alone (tests/test_integrate.py pins the bits).
+    # products and sums alone (tests/test_integrate.py pins the bits); also
+    # returned, as u + h * acc[:6] are stage states 2-6 and u5, bit for bit.
     acc = _DP_COLS[0] * (f(u) if k1 is None else k1)
     for j in range(1, 6):
         acc[j:] += _DP_COLS[j] * f(u + h * acc[j - 1])
     u5 = u + h * acc[5]
     k7 = f(u5)
     acc[6:] += _DP_COLS[6] * k7
-    return u5, h * acc[6], k7
+    return u5, h * acc[6], k7, acc
 
 
 def _controller_factor(err_est: float) -> float:
@@ -260,17 +259,8 @@ def _controller_factor(err_est: float) -> float:
 def _raw_field(form: str):
     if form == "direct":
         return _volterra_raw
-
-    # Each stage array is checked once, here, and then wrapped without a
-    # copy; LatticeState(u) would check it a second time.
-    def field(u):
-        try:
-            _require_finite_positive(u, "site variables")
-        except ValueError as exc:
-            raise _StageDomainError(str(exc)) from exc
-        return pushforward_rhs(_state_view(u), form)
-
-    return field
+    # The loops check the stage states; each is wrapped without a copy.
+    return lambda u: pushforward_rhs(_state_view(u), form)
 
 
 def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
@@ -283,10 +273,13 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     proportional rule with safety 0.9, clamped to [0.2 h, 5 h].  A state
     outside the positive cone is rejected (adaptive45 halves h) or raises
     PositivityAbortError (rk4).  The lax and bracket fields take sqrt(u), so
-    for them that covers every stage state; the direct field is a polynomial
-    and only its combined step is checked, since checking its six stages
-    slowed a 12-site adaptive run by 30-40%.  Step-size underflow raises
-    StepUnderflowError.
+    for them that covers every stage state, checked by the loop in one block
+    per attempt after all its field calls; the direct field is a polynomial
+    and only its combined step is checked.  So a field may run on a stage
+    outside the cone: under the errstate guard below, the lax and bracket
+    fields turn NaN, inf, zero or negative sites into NaN or finite values
+    without raising (the bracket's tangency check compares against NaN or inf
+    and never fires).  Step-size underflow raises StepUnderflowError.
     """
     # Overflow and invalid operations leave non-finite values, which the
     # loops detect and report; numpy's warnings would only repeat that.
@@ -296,6 +289,7 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
 
 def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     field = _raw_field(config.form)
+    check_stages = config.form != "direct"  # the forms that take sqrt(u)
     span = config.t1 - config.t0
     eps_t = 1e-12 * span
 
@@ -322,12 +316,14 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     if config.method == "rk4":
         while config.t1 - t > eps_t:
             h = min(config.h0, config.t1 - t)
-            try:
-                u_new = _rk4_raw(field, u, h)
-            except _StageDomainError as exc:
-                raise PositivityAbortError(
-                    f"stage left the state domain at t = {t:.6g} with h = {h:.3g}: {exc}"
-                ) from exc
+            u_new, stages = _rk4_raw(field, u, h)
+            for y in stages if check_stages else ():
+                try:
+                    _require_finite_positive(y, "site variables")
+                except ValueError as exc:
+                    raise PositivityAbortError(
+                        f"stage left the state domain at t = {t:.6g} with h = {h:.3g}: {exc}"
+                    ) from exc
             lo, hi = np.minimum.reduce(u_new), np.maximum.reduce(u_new)
             if not (-np.inf < lo and hi < np.inf):
                 raise PropagationError(f"non-finite state produced at t = {t:.6g}")
@@ -360,9 +356,8 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                     f"the problem is stiffer than the tolerances allow"
                 )
             h_try = min(h, config.t1 - t)
-            try:
-                u5, err_vec, k7 = _dopri_raw(field, u, h_try, k1)
-            except _StageDomainError:
+            u5, err_vec, k7, acc = _dopri_raw(field, u, h_try, k1)
+            if check_stages and not _all_in_open(u + h_try * acc[:6], 0.0, np.inf):
                 rejected += 1
                 h = 0.5 * h_try
                 continue

@@ -156,8 +156,7 @@ class LatticeState:
 
 
 def _state_view(u: np.ndarray) -> LatticeState:
-    # A LatticeState over a read-only view of u, for a float vector the
-    # caller has already checked: no copy and no second validation.
+    # A LatticeState over a read-only view of u: no copy and no validation.
     view = u.view()
     view.flags.writeable = False
     s = object.__new__(LatticeState)
@@ -214,11 +213,18 @@ def build_K(n: int) -> np.ndarray:
     return _weight_matrix(int(n))
 
 
-# A run uses one or a few dimensions; the bound only caps a long-lived
+# A run uses one or a few dimensions; the bounds only cap a long-lived
 # process that visits many.
 @functools.lru_cache(maxsize=16)
+def _weights(n: int) -> np.ndarray:
+    kd = np.arange(1, n + 1) / 4.0  # K's diagonal, for the O(N) bracket
+    kd.flags.writeable = False
+    return kd
+
+
+@functools.lru_cache(maxsize=16)
 def _weight_matrix(n: int) -> np.ndarray:
-    k = np.diag(np.arange(1, n + 1) / 4.0)
+    k = np.diag(_weights(n))
     k.flags.writeable = False
     return k
 
@@ -298,20 +304,13 @@ def _tangency_check(asym: float, off_band: float, norm: float) -> None:
 
 def _bracket_superdiagonal(c: np.ndarray) -> np.ndarray:
     # Bit for bit double_bracket_field(L).diagonal(1), with the same tangency
-    # check, in O(N).  For diagonal K each nonzero entry of the dense L^2 K
-    # and K L^2 is a single product, so [L^2, K] has the shape of A, with
-    # w_i = p_i k_{i+2} - k_i p_i where p_i = (L^2)_{i,i+2} = c_i c_{i+1},
-    # and an exactly zero diagonal.  The field [L, [L^2, K]] is then exactly
-    # symmetric, and its only entries off the first off-diagonals are
-    # c_i w_{i+1} - w_i c_{i+2} on the third, which the check compares.
-    n1 = c.size + 1
-    k = build_K(n1)
-    kd = k.diagonal()
-    if k is not _weight_matrix(n1) and np.count_nonzero(k) != np.count_nonzero(kd):
-        raise InternalConsistencyError(
-            "double-bracket direction left the tridiagonal tangent space: "
-            "the weight matrix K is not diagonal"
-        )
+    # check, in O(N) from K's diagonal k.  Each nonzero entry of the dense
+    # L^2 K and K L^2 is a single product, so [L^2, K] has the shape of A
+    # and a zero diagonal: w_i = p_i k_{i+2} - k_i p_i, p_i = c_i c_{i+1}.
+    # [L, [L^2, K]] is then exactly symmetric, and its only entries off the
+    # first off-diagonals are c_i w_{i+1} - w_i c_{i+2} on the third, which
+    # the check compares; NaN or inf couplings never fail it.
+    kd = _weights(c.size + 1)
     p = c[:-1] * c[1:]
     w = p * kd[2:] - kd[:-2] * p
     third = c[:-2] * w[1:] - w[:-1] * c[2:]
@@ -387,8 +386,7 @@ def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
     by the sign is exact, so it is folded into the factor 2.  Both
     superdiagonals are computed in O(N) and equal those of ``lax_rhs`` and
     ``double_bracket_field`` bit for bit; the bracket form raises
-    InternalConsistencyError where the dense field's tangency check would,
-    and also for a weight matrix that is not diagonal.
+    InternalConsistencyError where the dense field's tangency check would.
     """
     if form == "direct":
         return _volterra_raw(s.u)

@@ -20,9 +20,32 @@ from volterra_lab.lattice import LatticeState
 itg_module = sys.modules["volterra_lab.integrate"]
 
 
-def test_missing_command_is_an_argparse_error():
-    with pytest.raises(SystemExit):
-        cli.main([])
+def _one_config_line(capsys) -> str:
+    # an argparse refusal is one configuration-error line and no stdout
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+    return err
+
+
+def test_missing_command_is_an_argparse_error(tmp_path, capsys):
+    assert cli.main([]) == cli.EXIT_CONFIG
+    assert "required: command" in _one_config_line(capsys)
+    assert cli.main(["frobnicate"]) == cli.EXIT_CONFIG
+    assert "invalid choice: 'frobnicate'" in _one_config_line(capsys)
+    assert cli.main(["simulate", "--bogus", "1"]) == cli.EXIT_CONFIG
+    assert _one_config_line(capsys) == "configuration error: unrecognized arguments: --bogus 1\n"
+    # a flag without its value; "--t0=-1e-3" is a value on every Python,
+    # where some versions of argparse take a spaced "-1e-3" for a flag
+    argv = ["simulate", "--u0", "1,2", "--t1", "1", "--out", str(tmp_path / "t0.csv")]
+    assert cli.main([*argv, "--t0"]) == cli.EXIT_CONFIG
+    assert "argument --t0: expected one argument" in _one_config_line(capsys)
+    assert cli.main([*argv, "--t0=-1e-3"]) == cli.EXIT_OK
+    capsys.readouterr()
+    # --help still prints the usage and exits 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: volterra-lab")
 
 
 def test_simulate_requires_output_path(capsys):
@@ -179,10 +202,8 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_positivity_guard_cannot_be_switched_off(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for flag in ("--no-guard-positivity", "--guard-positivity"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--u0", "1,1", flag, "--out", str(out)])
-        assert exc.value.code == cli.EXIT_CONFIG
-    capsys.readouterr()
+        assert cli.main(["simulate", "--u0", "1,1", flag, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert flag in _one_config_line(capsys)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("u0 = 1,1\nguard_positivity = false\n")
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
@@ -195,10 +216,9 @@ def test_positivity_guard_cannot_be_switched_off(tmp_path, capsys):
 def test_the_orientation_cannot_be_set(tmp_path, capsys):
     # the matrix forms always run in lattice.CALIBRATED_SIGN
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", "--u0", "1,1", "--form", "lax", "--sigma", "1", "--out", str(out)])
-    assert exc.value.code == cli.EXIT_CONFIG
-    capsys.readouterr()
+    argv = ["simulate", "--u0", "1,1", "--form", "lax", "--sigma", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "--sigma" in _one_config_line(capsys)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("u0 = 1,1\nsigma = -1\n")
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
@@ -437,10 +457,9 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_bad_arguments(capsys):
     assert cli.main(["verify", "--n-list", "1,x"]) == cli.EXIT_CONFIG
     # the battery runs serially in one process, so there is no --jobs
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--jobs", "2"])
-    assert exc.value.code == cli.EXIT_CONFIG
     capsys.readouterr()
+    assert cli.main(["verify", "--jobs", "2"]) == cli.EXIT_CONFIG
+    assert "--jobs" in _one_config_line(capsys)
 
 
 @pytest.mark.parametrize(

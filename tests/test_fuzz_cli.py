@@ -2,11 +2,12 @@
 
 For ``simulate`` and ``spectrum``, flags and file lines draw their values
 from the same generators, malformed ones included, since both go through
-one parser per key.  Every example must end in exit 0 with a parseable
-output file or spectrum table, or in exit 2 or 3 with one line on stderr,
-no output and no warning.  ``verify`` and ``gradient-check`` draw malformed
-and small valid flag values; they may also end in exit 4, with their table
-or one line on stderr.  Runs are kept short (at most 6 sites, windows of at
+one parser per key; a few flags are spaced or unknown, for argparse to
+refuse.  Every example must end in exit 0 with a parseable output file or
+spectrum table, or in exit 2 or 3 with one line on stderr, no output and no
+warning.  ``verify`` and ``gradient-check`` draw malformed and small valid
+flag values; they may also end in exit 4, with their table or one line on
+stderr.  Runs are kept short (at most 6 sites, windows of at
 most 2, rk4 steps of at least 0.01; at most 3 battery sizes of at most 3
 sites and 2 trials) so each test takes a few seconds.
 """
@@ -87,14 +88,20 @@ _FLAG_VALUES = {"u0": _SITES, "seed": _SEED, "n": _N, **_SETTINGS}
 @st.composite
 def _flags(draw, command):
     # A flag wins over the same key in the file.  "--key=text" keeps a text
-    # that starts with "-" a value; --spectra takes no text.
+    # that starts with "-" a value; in the spaced "--key text" argparse takes
+    # "-inf" for a flag and refuses the command line, as it refuses an
+    # unknown flag.  --spectra takes no text.
     keys = [k for k in _FLAG_VALUES if command == "simulate" or k not in ("format", "spectra")]
     flags = []
     for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
         if key == "spectra":
             flags.append(draw(st.sampled_from(["--spectra", "--no-spectra"])))
         else:
-            flags.append(f"--{key.replace('_', '-')}={draw(_FLAG_VALUES[key])}")
+            flag, text = f"--{key.replace('_', '-')}", draw(_FLAG_VALUES[key])
+            flags += draw(st.sampled_from([[f"{flag}={text}"], [flag, text]]))
+    if draw(st.integers(0, 15)) == 0:
+        unknown = draw(st.sampled_from(["--bogus", "--sigma=1", "-x", "--guard-positivity"]))
+        flags.insert(draw(st.integers(0, len(flags))), unknown)
     return flags
 
 

@@ -80,13 +80,16 @@ def test_config_types_at_the_library_boundary(kwargs, message):
 
 
 def test_rk4_step_fixed_point_is_exact():
+    # the step and its stage states y2, y3, y4 all stay at the fixed point
     u = np.array([5.0])
-    npt.assert_array_equal(itg._rk4_raw(itg._volterra_raw, u, 0.25), [5.0])
+    out, stages = itg._rk4_raw(itg._volterra_raw, u, 0.25)
+    npt.assert_array_equal(out, [5.0])
+    npt.assert_array_equal(stages, [[5.0]] * 3)
 
 
 def test_rk4_step_linear_field_value():
     # du/dt = u from u = 1: one step of h = 0.1 gives the quartic Taylor sum
-    out = itg._rk4_raw(lambda u: u, np.array([1.0]), 0.1)
+    out, _ = itg._rk4_raw(lambda u: u, np.array([1.0]), 0.1)
     expect = 1.0 + 0.1 + 0.1**2 / 2.0 + 0.1**3 / 6.0 + 0.1**4 / 24.0
     assert out[0] == pytest.approx(expect, rel=1e-15)
 
@@ -121,17 +124,16 @@ def test_rk4_step_combined_step_leaving_the_cone_aborts(monkeypatch):
 
 
 def _spy_attempts(monkeypatch):
-    # Record (u, h, k1, stage domain left) for every attempt of the adaptive loop.
+    # Record (u, h, k1, a stage state or u5 left the cone) for every attempt
+    # of the adaptive loop; only the matrix forms reject an attempt for that.
     attempts = []
     real = itg._dopri_raw
 
     def spy(f, u, h, k1=None):
-        attempts.append([u.copy(), h, None if k1 is None else k1.copy(), False])
-        try:
-            return real(f, u, h, k1)
-        except itg._StageDomainError:
-            attempts[-1][3] = True
-            raise
+        record = [u.copy(), h, None if k1 is None else k1.copy()]
+        out = real(f, u, h, k1)
+        attempts.append(record + [not lattice._all_in_open(u + h * out[3][:6], 0.0, np.inf)])
+        return out
 
     monkeypatch.setattr(itg, "_dopri_raw", spy)
     return attempts
@@ -319,16 +321,26 @@ def test_adaptive_guard_rejects_and_recovers():
 
 def test_adaptive_loop_reuses_the_last_stage(monkeypatch):
     # first same as last: one RHS call to start, then six per attempt,
-    # accepted or rejected (the direct form has no stage-domain rejections)
+    # accepted or rejected, also where a matrix form rejects attempts whose
+    # stage states left the cone (the direct form has no such rejections)
     calls = []
-    raw = itg._volterra_raw
+    raw, push = itg._volterra_raw, itg.pushforward_rhs
     monkeypatch.setattr(itg, "_volterra_raw", lambda u: calls.append(1) or raw(u))
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f: calls.append(1) or push(s, f))
     cfg = itg.IntegratorConfig(
         method="adaptive45", t1=3.0, h0=0.5, tol_abs=1e-8, tol_rel=1e-8, record_every=10**9
     )
     rec = itg.integrate(cfg, _state(0.3, 2.0, 5.0, 0.7))
     assert rec.rejected_steps > 0
     assert len(calls) == 6 * (rec.accepted_steps + rec.rejected_steps) + 1
+    attempts = _spy_attempts(monkeypatch)
+    for form in ("lax", "bracket"):
+        calls.clear()
+        attempts.clear()
+        cfg = itg.IntegratorConfig(method="adaptive45", form=form, t1=20.0, h0=10.0)
+        rec = itg.integrate(cfg, _state(1.0, 2.0, 1.0, 2.0, 1.0, 2.0))
+        assert sum(a[3] for a in attempts) > 0
+        assert len(calls) == 6 * (rec.accepted_steps + rec.rejected_steps) + 1
 
 
 @pytest.mark.parametrize("form", ["lax", "bracket"])
@@ -352,7 +364,7 @@ def test_integrate_matches_fresh_first_stage_bit_for_bit(monkeypatch, form, meth
         t, u, ref = 0.0, s0.u, [s0.u]
         while 1.0 - t > 1e-12:
             h = min(cfg.h0, 1.0 - t)
-            u = itg._rk4_raw(fresh, u, h)
+            u, _ = itg._rk4_raw(fresh, u, h)
             t = 1.0 if 1.0 - (t + h) <= 1e-12 else t + h
             ref.append(u)
         assert rec.states.tobytes() == np.array(ref).tobytes()
@@ -436,25 +448,37 @@ def _python_attempt(field, u, h):
     # One Dormand-Prince attempt in Python floats, site by site: each stage
     # state is u + h * ((w1 k1 + w2 k2) + ...), summed in stage order from
     # the rows of _DP_ROWS; only the stages come from numpy, from the field.
+    # Also whether a stage state 2-6 or u5 has an entry outside (0, inf).
     u = u.tolist()
     ks = [field(np.array(u)).tolist()]
     sums = []
+    left = False
     for row in itg._DP_ROWS:
         total = [row[0] * k for k in ks[0]]
         for w, k in zip(row[1:], ks[1:]):
             total = [acc + w * x for acc, x in zip(total, k)]
         sums.append(total)
         if len(ks) < 7:
-            ks.append(field(np.array([a + h * b for a, b in zip(u, total)])).tolist())
+            y = [a + h * b for a, b in zip(u, total)]
+            left = left or not all(0.0 < x < math.inf for x in y)
+            ks.append(field(np.array(y)).tolist())
     u5 = [a + h * b for a, b in zip(u, sums[5])]
-    return u5, [h * b for b in sums[6]], ks[6]
+    return u5, [h * b for b in sums[6]], ks[6], left
 
 
-def _attempt_outcome(attempt, field, u, h):
-    try:
-        return [np.array(v, dtype=float).view(np.int64).tolist() for v in attempt(field, u, h)]
-    except itg._StageDomainError as exc:
-        return str(exc)
+def _kernel_attempt(field, u, h):
+    # The kernel and the adaptive loop's stage-domain check on its acc.
+    u5, err, k7, acc = itg._dopri_raw(field, u, h)
+    return u5, err, k7, not lattice._all_in_open(u + h * acc[:6], 0.0, np.inf)
+
+
+def _attempt_outcome(attempt, form, u, h):
+    # A matrix form's attempt that left the cone is rejected whatever its
+    # bits; otherwise u5, err and k7 as bit patterns.
+    *vectors, left = attempt(itg._raw_field(form), u, h)
+    if left and form != "direct":
+        return "left the cone"
+    return [np.array(v, dtype=float).view(np.int64).tolist() for v in vectors]
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 128])
@@ -470,16 +494,16 @@ def test_dormand_prince_attempt_matches_a_python_oracle(n):
     cases.append((1.0 + np.arange(n) % 2, 10.0))
     with np.errstate(over="ignore", invalid="ignore"):
         for form in FORMS:
-            field = itg._raw_field(form)
             for u, h in cases:
-                want = _attempt_outcome(_python_attempt, field, u, h)
-                assert _attempt_outcome(itg._dopri_raw, field, u, h) == want, (form, h)
+                want = _attempt_outcome(_python_attempt, form, u, h)
+                assert _attempt_outcome(_kernel_attempt, form, u, h) == want, (form, h)
             left_the_cone = isinstance(want, str)
             assert left_the_cone == (form != "direct" and n > 1), form
 
 
 @pytest.mark.parametrize("form", ["lax", "bracket"])
 def test_matrix_form_stage_is_checked_once_and_wrapped_without_a_copy(monkeypatch, form):
+    # the field wraps a stage without a copy and checks nothing
     seen = []
     monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f: seen.append(s) or s.u)
     field = itg._raw_field(form)
@@ -487,14 +511,43 @@ def test_matrix_form_stage_is_checked_once_and_wrapped_without_a_copy(monkeypatc
     field(u)
     (s,) = seen
     assert s.u.base is u and not s.u.flags.writeable and u.flags.writeable
-    # the messages are those of LatticeState, and nothing reaches the field
+    # the rk4 loop checks each step's stage states once, after its four
+    # field calls, and its messages are those of LatticeState: from u = 1,
+    # a first slope of 2 (bad - 1) puts y2 at bad exactly
+    cfg = itg.IntegratorConfig(method="rk4", form=form, t1=1.0, h0=1.0)
     for bad in ([1.0, np.nan], [-1.0, np.inf], [1.0, 0.0], [1.0, -2.0]):
+        seen.clear()
+        monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f: seen.append(s) or 2.0 * (bad - s.u))
         with pytest.raises(ValueError) as want:
             LatticeState(np.array(bad))
-        with pytest.raises(itg._StageDomainError) as got:
-            field(np.array(bad))
-        assert str(got.value) == str(want.value)
-    assert len(seen) == 1
+        with pytest.raises(itg.PositivityAbortError) as got:
+            itg.integrate(cfg, _state(1.0, 1.0))
+        assert str(got.value) == f"stage left the state domain at t = 0 with h = 1: {want.value}"
+        assert len(seen) == 4
+
+
+@pytest.mark.parametrize("form", ["lax", "bracket"])
+def test_matrix_form_fields_compute_outside_the_domain_quietly(form):
+    # The loops check stage states only after an attempt's field calls, so a
+    # field runs on states outside the cone.  Under integrate's errstate guard
+    # it must turn NaN, inf, 0 and negative sites into NaN or finite values
+    # without an exception or a warning; the bracket's tangency check
+    # compares against NaN or inf there and never fires.
+    field = itg._raw_field(form)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bad in ([1.0, np.nan], [-1.0, np.inf], [1.0, 0.0], [1.0, -2.0], [1e200] * 3):
+                assert field(np.array(bad)).shape == (len(bad),)
+
+
+def test_a_bracket_run_builds_no_dense_weight_matrix():
+    # the O(N) bracket reads K's diagonal from lattice._weights
+    lattice._weight_matrix.cache_clear()
+    cfg = itg.IntegratorConfig(method="adaptive45", form="bracket", t1=1e-3, h0=1e-4)
+    rec = itg.integrate(cfg, LatticeState(random_state(300, SplitMix64(substream_seed(50, 0)))))
+    assert rec.accepted_steps > 0
+    assert lattice._weight_matrix.cache_info().currsize == 0
 
 
 def test_adaptive_attempt_budget(monkeypatch):
@@ -593,7 +646,7 @@ def test_time_reversed_flow_is_the_flow_on_reflected_sites():
     rec = itg.integrate(cfg, LatticeState(u0[::-1]))
     backwards = [u0]
     for _ in range(1024):
-        backwards.append(itg._rk4_raw(lambda u: -itg._volterra_raw(u), backwards[-1], cfg.h0))
+        backwards.append(itg._rk4_raw(lambda u: -itg._volterra_raw(u), backwards[-1], cfg.h0)[0])
     npt.assert_array_equal(rec.states[:, ::-1], backwards[::128])
     # f ascends along the reversed run, and the report counts every rise
     f_back = rec.states[:, ::-1] @ (np.arange(3, 10, 2) / 4.0)

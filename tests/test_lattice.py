@@ -112,6 +112,10 @@ def test_weight_matrix_values():
         assert np.trace(lattice.build_K(n)) == n * (n + 1) / 8.0
     with pytest.raises(ValueError):
         lattice.build_K(1)
+    # the dense K is built from the diagonal the O(N) bracket reads
+    for n in (2, 9):
+        assert np.array_equal(lattice.build_K(n), np.diag(lattice._weights(n)))
+        assert not lattice._weights(n).flags.writeable
 
 
 def test_skew_generator_values():
@@ -339,7 +343,9 @@ def test_bracket_kernel_sees_what_the_dense_check_sees():
 
 def test_uneven_diagonal_weights_fail_the_tangency_check(monkeypatch):
     # diag(1, 2, 4, 8, ...) / 4 is diagonal, so only the third off-diagonal
-    # of the field can notice that its spacing is uneven
+    # of the field can notice that its spacing is uneven; the pushforward
+    # reads the diagonal from _weights, the dense field reads build_K
+    monkeypatch.setattr(lattice, "_weights", lambda n: 2.0 ** np.arange(n) / 4.0)
     monkeypatch.setattr(lattice, "build_K", lambda n: np.diag(2.0 ** np.arange(n)) / 4.0)
     s = lattice.LatticeState(np.array([1.0, 2.0, 3.0, 0.5]))
     with pytest.raises(lattice.InternalConsistencyError, match="off-band"):
@@ -370,13 +376,13 @@ def test_overflowing_bracket_is_non_finite_in_both_kernels(decades):
     assert not np.isfinite(got).any()
 
 
-def test_tangency_check_fires_on_the_pushforward_path(monkeypatch):
-    # a non-diagonal weight matrix breaks the tridiagonal shape of the
-    # double bracket; the check inside the integrator's RHS must notice
+def test_non_diagonal_weights_fail_the_dense_tangency_check(monkeypatch):
+    # a non-diagonal weight matrix breaks the tridiagonal shape of the dense
+    # double bracket; the O(N) pushforward reads only K's diagonal
     monkeypatch.setattr(lattice, "build_K", lambda n: np.ones((n, n)))
-    s = lattice.LatticeState(np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(lattice.InternalConsistencyError):
-        lattice.pushforward_rhs(s, "bracket")
+    L = lattice.LaxMatrix(np.sqrt([1.0, 2.0, 3.0]))
+    with pytest.raises(lattice.InternalConsistencyError, match="off-band"):
+        lattice.double_bracket_field(L)
 
 
 def test_sign_calibration_picks_descent():
