@@ -15,29 +15,31 @@ orientation of the matrix forms is not a setting: it is the constant
 ``lattice.CALIBRATED_SIGN``, which ``verify`` re-derives.  On one
 machine the t, u and f columns are a byte-deterministic function of the
 configuration and seed.  Across machines they stay byte-identical for rk4
-runs of every form: no field makes a BLAS call, and the bracket's one BLAS
-dot product sets only its tangency tolerance.  adaptive45 runs also depend
-on the C library's pow (the controller's err ** -0.2).  The eigenvalue
-columns come from LAPACK, and the residuals of ``spectrum``, ``verify`` and
-``gradient-check`` from dense BLAS and LAPACK work; they are byte-identical
-only on one numpy build.
+runs of every form, since no field makes a BLAS call.  adaptive45 runs also
+depend on the C library's pow (the controller's err ** -0.2).  The
+eigenvalue columns come from LAPACK, and the residuals of ``spectrum``,
+``verify`` and ``gradient-check`` from dense BLAS and LAPACK work; they are
+byte-identical only on one numpy build.
 
 Exit codes: 0 success, 2 configuration error (including a config file that
 cannot be read or decoded, an ``--out`` that cannot be written, which is
-refused before any stepping, a window t1 - t0 that overflows, an adaptive45
-h0 below its step-underflow floor, an h0 too small to advance t, fewer than
-two distinct gradient-check eps values, and a run too large for the
-machine's memory), 3 integration failure (including a state that leaves the
-positive cone under rk4, an adaptive45 step shrunk mid-run below what
-advances t and an adaptive45 run that reaches 1e8 attempts), 4 verification
-failure, including a gradient-check whose finite differences miss their
-prediction.  A failing command prints one line on stderr and, except a
-battery that ran and failed, nothing on stdout.
+refused before any stepping when it names a directory, a read-only file or
+a file in a missing folder, and otherwise leaves no partial regular file,
+a window t1 - t0 that overflows, an adaptive45 h0 below its step-underflow
+floor, an h0 too small to advance t, fewer than two distinct gradient-check
+eps values, and a run too large for the machine's memory), 3 integration
+failure (including a state that leaves the positive cone under rk4, an
+adaptive45 step shrunk mid-run below what advances t and an adaptive45 run
+that reaches 1e8 attempts), 4 verification failure, including a
+gradient-check whose finite differences miss their prediction.  A failing
+command prints one line on stderr and, except a battery that ran and
+failed, nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -230,18 +232,45 @@ def write_jsonl(path: str, record: TrajectoryRecord, spectra: bool):
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _replace_whole(path: str, write) -> None:
+    # write fills a new sibling file, which replaces path only once it is
+    # complete, so a failed write leaves no partial file and no clobbered old
+    # one.  The new file takes the old one's permission bits.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("simulate needs an output path (--out)")
     # Refuse an unwritable path before stepping; the file itself is only
-    # created once the integration has succeeded.
+    # created once the integration has succeeded.  A regular file at --out,
+    # or none, is replaced whole, whatever its mode, so a read-only one is
+    # refused here; anything else there, such as a device or a pipe, is
+    # written in place.
     folder = os.path.dirname(cfg.out) or "."
     if os.path.isdir(cfg.out) or not os.path.isdir(folder):
         raise ConfigError(f"cannot write {cfg.out}: not a file in an existing directory")
+    exists = os.path.exists(cfg.out)
+    whole = not exists or os.path.isfile(cfg.out)
+    if whole and exists and not os.access(cfg.out, os.W_OK):
+        raise ConfigError(f"cannot write {cfg.out}: the file is read-only")
     record = integrate(cfg.integrator, cfg.initial_state())
     writer = write_csv if cfg.format == "csv" else write_jsonl
     try:
-        writer(cfg.out, record, cfg.spectra)
+        if whole:
+            _replace_whole(cfg.out, lambda path: writer(path, record, cfg.spectra))
+        else:
+            writer(cfg.out, record, cfg.spectra)
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     summary = invariant_report(record)

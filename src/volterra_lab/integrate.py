@@ -26,8 +26,7 @@ SVD, and tr L^k for k = 2, 4 in closed form (tr L^3 is identically 0); the
 spectrum and traces are conserved by the exact flow and serve as accuracy
 meters for the discrete one.  On one machine t, u and f are byte-deterministic
 and neither the fields nor f make a BLAS call.  Across machines rk4 runs of
-every form use only IEEE arithmetic and sqrt (the bracket's one BLAS dot
-product sets only the tolerance of its tangency check); the t and u bits of
+every form use only IEEE arithmetic and sqrt; the t and u bits of
 adaptive runs rest only on IEEE arithmetic, sqrt and the C library's pow,
 through the controller's err_est ** -0.2, and on no reduction order of
 numpy.  The spectrum is byte-identical only on one LAPACK build.
@@ -278,8 +277,7 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     and only its combined step is checked.  So a field may run on a stage
     outside the cone: under the errstate guard below, the lax and bracket
     fields turn NaN, inf, zero or negative sites into NaN or finite values
-    without raising (the bracket's tangency check compares against NaN or inf
-    and never fires).  Step-size underflow raises StepUnderflowError.
+    without raising.  Step-size underflow raises StepUnderflowError.
     """
     # Overflow and invalid operations leave non-finite values, which the
     # loops detect and report; numpy's warnings would only repeat that.
@@ -362,16 +360,21 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 h = 0.5 * h_try
                 continue
             scale = tol_abs + tol_rel * np.abs(u)
-            err_est = float((np.abs(err_vec) / scale).max())
-            # One min and one max decide both "finite" and "positive"; NaN
-            # propagates through both and fails every comparison.
-            lo, hi = np.minimum.reduce(u5), np.maximum.reduce(u5)
-            if not (math.isfinite(err_est) and -np.inf < lo and hi < np.inf):
+            err_est = float(np.maximum.reduce(np.abs(err_vec) / scale, None))
+            if check_stages:
+                # Row 5 of the block just checked is u5, bit for bit.
+                finite = positive = True
+            else:
+                # One min and one max decide both "finite" and "positive";
+                # NaN propagates through both and fails every comparison.
+                lo, hi = np.minimum.reduce(u5), np.maximum.reduce(u5)
+                finite, positive = -np.inf < lo and hi < np.inf, lo > 0.0
+            if not (math.isfinite(err_est) and finite):
                 rejected += 1
                 h = _SHRINK_MIN * h_try
                 continue
             if err_est <= 1.0:
-                if not (lo > 0.0):
+                if not positive:
                     rejected += 1
                     h = 0.5 * h_try
                     continue

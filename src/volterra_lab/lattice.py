@@ -10,9 +10,11 @@ and the pushforward that carries the matrix forms back to u-space.  The
 dense [L, A] of ``lax_rhs`` and [L, [L^2, K]] of ``double_bracket_field``
 stay as the reference objects; the pushforward reads their superdiagonals
 by O(N) formulas that give the same bits, because for diagonal K every
-nonzero entry of the dense products there is a single product.  The bracket
-pushforward keeps the tangency check of the dense field, on the only
-entries where it can fail.
+nonzero entry of the dense products there is a single product.  Neither
+makes a BLAS call.  The dense field keeps its tangency check.  The O(N)
+bracket does not repeat it: off the first off-diagonals the field has only
+its third, which vanishes for every L in exact arithmetic because K's
+diagonal steps evenly.
 
 The module also holds the dense kernels the others share: the commutator
 and the Frobenius pairing tr(X Y^T), which refuse operands numpy would
@@ -33,7 +35,6 @@ the flow from the reflected state, read in reverse site order.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -303,23 +304,17 @@ def _tangency_check(asym: float, off_band: float, norm: float) -> None:
 
 
 def _bracket_superdiagonal(c: np.ndarray) -> np.ndarray:
-    # Bit for bit double_bracket_field(L).diagonal(1), with the same tangency
-    # check, in O(N) from K's diagonal k.  Each nonzero entry of the dense
-    # L^2 K and K L^2 is a single product, so [L^2, K] has the shape of A
-    # and a zero diagonal: w_i = p_i k_{i+2} - k_i p_i, p_i = c_i c_{i+1}.
-    # [L, [L^2, K]] is then exactly symmetric, and its only entries off the
-    # first off-diagonals are c_i w_{i+1} - w_i c_{i+2} on the third, which
-    # the check compares; NaN or inf couplings never fail it.
+    # Bit for bit double_bracket_field(L).diagonal(1), in O(N) from K's
+    # diagonal k.  Each nonzero entry of the dense L^2 K and K L^2 is a single
+    # product, so [L^2, K] has the shape of A and a zero diagonal:
+    # w_i = p_i k_{i+2} - k_i p_i, p_i = c_i c_{i+1}.  [L, [L^2, K]] is then
+    # exactly symmetric, and its only other entries, on the third
+    # off-diagonal, are c_i c_{i+1} c_{i+2} ((k_{i+3} - k_{i+1}) - (k_{i+2} - k_i)),
+    # zero for every c in exact arithmetic since k steps evenly, so no
+    # tangency check is needed.
     kd = _weights(c.size + 1)
     p = c[:-1] * c[1:]
-    w = p * kd[2:] - kd[:-2] * p
-    third = c[:-2] * w[1:] - w[:-1] * c[2:]
-    _tangency_check(
-        0.0,
-        float(np.abs(third).max(initial=0.0)),
-        math.sqrt(2.0 * float(c.dot(c))),
-    )
-    return _commutator_superdiagonal(c, w)
+    return _commutator_superdiagonal(c, p * kd[2:] - kd[:-2] * p)
 
 
 def build_A(s: LatticeState) -> np.ndarray:
@@ -385,8 +380,9 @@ def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
     all forms report the same motion in the same coordinates.  Multiplying
     by the sign is exact, so it is folded into the factor 2.  Both
     superdiagonals are computed in O(N) and equal those of ``lax_rhs`` and
-    ``double_bracket_field`` bit for bit; the bracket form raises
-    InternalConsistencyError where the dense field's tangency check would.
+    ``double_bracket_field`` bit for bit.  The bracket form checks no
+    tangency: the dense field's check could fail only for a K whose diagonal
+    does not step evenly, and ``verify``'s field-equivalence runs that check.
     """
     if form == "direct":
         return _volterra_raw(s.u)

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 
@@ -335,6 +336,72 @@ def test_writer_failure_is_a_config_error(monkeypatch, tmp_path, capsys, fmt):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"configuration error: cannot write {out}: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier run\n"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_failed_write_leaves_no_partial_output(monkeypatch, tmp_path, capsys, fmt, existing):
+    # the disk fills halfway through the file: --out is neither created nor
+    # touched, and no temporary is left beside it
+    real = getattr(cli, f"write_{fmt}")
+
+    def half(path, record, spectra):
+        real(path, record, spectra)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
+        raise OSError(27, "File too large")
+
+    monkeypatch.setattr(cli, f"write_{fmt}", half)
+    out = tmp_path / "x.out"
+    if existing is not None:
+        out.write_bytes(existing)
+    rc = cli.main(["simulate", "--u0", "1,2", "--t1", "0.01", "--format", fmt, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"configuration error: cannot write {out}: [Errno 27] File too large\n")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["x.out"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_read_only_output_is_refused_before_stepping(monkeypatch, tmp_path, capsys):
+    # the finished file replaces --out, which would overwrite a read-only one
+    def never(*args, **kwargs):
+        raise AssertionError("integrate ran for a read-only output file")
+
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"keep\n")
+    monkeypatch.setattr(cli, "integrate", never)
+    monkeypatch.setattr(os, "access", lambda path, mode: not (path == str(out) and mode == os.W_OK))
+    assert cli.main(["simulate", "--u0", "1,2", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"configuration error: cannot write {out}: the file is read-only\n")
+    assert out.read_bytes() == b"keep\n"
+
+
+def test_output_keeps_the_replaced_files_permission_bits(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"an earlier run\n")
+    out.chmod(0o640)
+    assert cli.main(["simulate", "--u0", "1,2", "--t1", "0.01", "--out", str(out)]) == cli.EXIT_OK
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_bytes().startswith(b"t,")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    # a pipe, like a device, is written through; only a regular file is
+    # replaced by a finished sibling
+    fifo = tmp_path / "x.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        rc = cli.main(["simulate", "--u0", "1,2", "--t1", "0.01", "--out", str(fifo)])
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert rc == cli.EXIT_OK
+    assert data.startswith(b"t,")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.fifo"]
 
 
 def test_initial_condition_must_be_exactly_one(tmp_path, capsys):
@@ -704,8 +771,9 @@ def test_adaptive_run_past_the_attempt_budget_exits_3(monkeypatch, tmp_path, cap
 
 @pytest.mark.parametrize("form", ["direct", "lax", "bracket"])
 def test_overflowing_state_exits_3_in_every_form(tmp_path, capsys, form):
-    # ||L||_F^3 overflows here; the bracket's tangency tolerance used to
-    # raise OverflowError instead of letting the loop reject the step
+    # ||L||_F^3 overflows here; a per-call tangency tolerance built from it
+    # once raised OverflowError in the bracket instead of letting the loop
+    # reject the step, and the O(N) bracket now checks no tangency
     out = tmp_path / "x.csv"
     argv = ["simulate", "--u0", "1e206,1e206", "--form", form, "--method", "adaptive45",
             "--t1", "1", "--out", str(out)]

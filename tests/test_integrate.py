@@ -531,8 +531,8 @@ def test_matrix_form_fields_compute_outside_the_domain_quietly(form):
     # The loops check stage states only after an attempt's field calls, so a
     # field runs on states outside the cone.  Under integrate's errstate guard
     # it must turn NaN, inf, 0 and negative sites into NaN or finite values
-    # without an exception or a warning; the bracket's tangency check
-    # compares against NaN or inf there and never fires.
+    # without an exception or a warning.  The O(N) bracket checks no
+    # tangency, since K's evenly stepped diagonal makes it hold for every L.
     field = itg._raw_field(form)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
