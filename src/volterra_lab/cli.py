@@ -12,22 +12,24 @@ Runs are configured by a flat key=value file (``#`` starts a comment) with
 every key also a flag that the same parser reads; flags win.  Keys named after
 ``IntegratorConfig`` fields build one, and it holds their defaults.  The
 orientation of the matrix forms is not a setting: it is the constant
-``lattice.CALIBRATED_SIGN``, which ``verify`` re-derives.  On one
-machine the t, u and f columns are a byte-deterministic function of the
-configuration and seed.  Across machines they stay byte-identical for rk4
-runs of every form, since no field makes a BLAS call.  adaptive45 runs also
-depend on the C library's pow (the controller's err ** -0.2).  The
-eigenvalue columns come from LAPACK, and the residuals of ``spectrum``,
-``verify`` and ``gradient-check`` from dense BLAS and LAPACK work; they are
-byte-identical only on one numpy build.
+``lattice.CALIBRATED_SIGN``, which ``verify``'s field-equivalence row
+checks against the direct field.  On one machine the t, u and f columns are
+a byte-deterministic function of the configuration and seed.  Across
+machines they stay byte-identical for rk4 runs of every form, since no
+field makes a BLAS call.  adaptive45 runs also depend on the C library's
+pow (the controller's err ** -0.2).  The eigenvalue columns come from
+LAPACK, and the residuals of ``spectrum``, ``verify`` and
+``gradient-check`` from dense BLAS and LAPACK work; they are byte-identical
+only on one numpy build.
 
 Exit codes: 0 success, 2 configuration error (including a config file that
 cannot be read or decoded, an ``--out`` that cannot be written, which is
 refused before any stepping when it names a directory, a read-only file or
 a file in a missing folder, and otherwise leaves no partial regular file,
-a window t1 - t0 that overflows, an adaptive45 h0 below its step-underflow
-floor, an h0 too small to advance t, fewer than two distinct gradient-check
-eps values, and a run too large for the machine's memory), 3 integration
+a stdout whose reader has gone, as under ``| head -1``, a window t1 - t0
+that overflows, an adaptive45 h0 below its step-underflow floor, an h0 too
+small to advance t, fewer than two distinct gradient-check eps values, and
+a run too large for the machine's memory), 3 integration
 failure (including a state that leaves the positive cone under rk4, an
 adaptive45 step shrunk mid-run below what advances t and an adaptive45 run
 that reaches 1e8 attempts), 4 verification failure, including a
@@ -437,25 +439,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(ns: argparse.Namespace) -> int:
+    if ns.command == "simulate":
+        return cmd_simulate(build_run_config(ns))
+    if ns.command == "spectrum":
+        return cmd_spectrum(build_run_config(ns))
+    trials = _parse_value(int, "trials", ns.trials)
+    seed = _parse_value(int, "seed", ns.seed)
+    if ns.command == "verify":
+        try:
+            n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok.strip())
+        except ValueError:
+            raise ConfigError(f"bad n-list {ns.n_list!r}") from None
+        if not n_list or min(n_list) < 1 or trials < 1:
+            raise ConfigError("need n-list entries >= 1 and trials >= 1")
+        return cmd_verify(n_list, trials, seed)
+    eps_list = _parse_floats(ns.eps, "eps")
+    return cmd_gradient_check(_parse_value(int, "n", ns.n), trials, seed, eps_list)
+
+
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        if ns.command == "simulate":
-            return cmd_simulate(build_run_config(ns))
-        if ns.command == "spectrum":
-            return cmd_spectrum(build_run_config(ns))
-        trials = _parse_value(int, "trials", ns.trials)
-        seed = _parse_value(int, "seed", ns.seed)
-        if ns.command == "verify":
-            try:
-                n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok.strip())
-            except ValueError:
-                raise ConfigError(f"bad n-list {ns.n_list!r}") from None
-            if not n_list or min(n_list) < 1 or trials < 1:
-                raise ConfigError("need n-list entries >= 1 and trials >= 1")
-            return cmd_verify(n_list, trials, seed)
-        eps_list = _parse_floats(ns.eps, "eps")
-        return cmd_gradient_check(_parse_value(int, "n", ns.n), trials, seed, eps_list)
+        code = _dispatch(_build_parser().parse_args(argv))
+        # Output still buffered would otherwise meet a closed pipe only in
+        # the interpreter's flush at exit, past the handler below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader of stdout has gone.  Point stdout at the null device so
+        # the flush at exit has nowhere to fail, and report it as a write to
+        # --out /dev/stdout would be.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"configuration error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,6 +30,13 @@ every form use only IEEE arithmetic and sqrt; the t and u bits of
 adaptive runs rest only on IEEE arithmetic, sqrt and the C library's pow,
 through the controller's err_est ** -0.2, and on no reduction order of
 numpy.  The spectrum is byte-identical only on one LAPACK build.
+
+The spectrum is accurate normwise, to a few eps ||L||, not relatively: the
+SVD is backward stable in norm only, so a small eigenvalue carries the
+absolute error of a large one.  Against mpmath at 60 digits, on 33-site
+random states at t = 0, the smallest singular value of the seed-38 state
+(8.9e-4) was off by 5.3e-13 relative, about 2,400 eps, and that of seed 25
+(5.9e-6) by 6.0e-11, while every error stayed below 4 eps ||L||_2.
 """
 
 from __future__ import annotations
@@ -130,6 +137,14 @@ class IntegratorConfig:
     An adaptive45 h0 below the loop's step floor 1e-14 (t1 - t0) is refused,
     and so is an h0 that does not advance t: at t0 for adaptive45, and for
     rk4 at whichever of t0 and t1 has the larger magnitude.
+
+    adaptive45 holds each site to tol_abs + tol_rel |u|, so at the defaults
+    a site that decays toward 0 is accurate only absolutely, to about
+    tol_abs.  From a 12-site state whose smallest site falls to 3.2e-10 at
+    t = 5 and 1.2e-20 at t = 10, the largest relative site error was 1.4e-7
+    and 2.6e-4 there.  A negligible tol_abs such as 1e-300 gives relative
+    accuracy site by site, 5.5e-10 and 1.2e-9, at 1.9 and 2.6 times the
+    steps.
     """
 
     method: str = "rk4"

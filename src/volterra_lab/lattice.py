@@ -22,11 +22,12 @@ broadcast, and, outside ``__all__``, the eigensolve and tr X^k of a dense
 Lax matrix, which trust the matrices ``densify`` builds.
 
 Orientation of the commutator forms relative to the direct equations is a
-constant of the construction, CALIBRATED_SIGN, which ``calibrate_sign``
-re-derives from the dense Lax field.  No function takes a sign: both dense
-fields are the unsigned brackets, and the pushforward, the battery and
-``geometry.gradient_flow_identity_check`` read CALIBRATED_SIGN from this
-module when they run, so every form runs the one flow that descends f.
+constant of the construction, CALIBRATED_SIGN.  No function takes a sign:
+both dense fields are the unsigned brackets, and the pushforward, the battery
+and ``geometry.gradient_flow_identity_check`` read CALIBRATED_SIGN from this
+module when they run, so every form runs the one flow that descends f, and
+``verify``'s field-equivalence check, which compares the signed forms with
+the direct field, fails if the constant or a dense field is reversed.
 The constant is not in ``__all__``, so the package root keeps no stale copy.
 Reflecting the sites negates the direct field, so the time-reversed flow is
 the flow from the reflected state, read in reverse site order.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -46,10 +46,8 @@ __all__ = [
     "InternalConsistencyError",
     "LatticeState",
     "LaxMatrix",
-    "SignCalibration",
     "build_A",
     "build_K",
-    "calibrate_sign",
     "commutator",
     "double_bracket_field",
     "frobenius_inner",
@@ -63,8 +61,8 @@ __all__ = [
 
 # Orientation of the commutator forms: the bracket fields as constructed
 # generate the time reverse of the direct equations, so the direct flow is
-# their negative.  With this sign the flow descends f.  calibrate_sign()
-# re-derives it from the dense Lax field, which keeps the constant honest.
+# their negative.  With this sign the flow descends f.  verify's
+# field-equivalence check compares it against the direct field.
 CALIBRATED_SIGN = -1
 
 # Right-hand-side forms understood by pushforward_rhs and the integrator.
@@ -402,36 +400,3 @@ def _u_velocity(L: LaxMatrix, m: np.ndarray) -> np.ndarray:
     # du/dt of a dense field m on L, 2 c diag(m, 1): the pushforward's
     # chain rule written on the reference objects.
     return 2.0 * L.c * np.diagonal(m, 1)
-
-
-@dataclass(frozen=True)
-class SignCalibration:
-    """Outcome of the orientation test.
-
-    ``discrepancy`` maps each candidate sign to the largest deviation of
-    that sign times the dense Lax field from the direct field, in u-space;
-    ``sigma`` is the winner.
-    """
-
-    sigma: int
-    discrepancy: Mapping[int, float]
-
-
-def calibrate_sign(state: LatticeState | None = None) -> SignCalibration:
-    """Determine the commutator orientation from the fields at one state.
-
-    For each sign sigma, sigma times the dense [L, A] of ``lax_rhs``, read in
-    u-space, is compared with the direct field; the sign that matches is the
-    orientation.  Nothing is integrated and CALIBRATED_SIGN is not read.  The
-    other sign misses by twice the direct field, so a tie (N = 1, where it
-    vanishes) raises ValueError.
-    """
-    if state is None:
-        state = LatticeState((1.0, 1.0))
-    L = lax_from_state(state)
-    direct = _volterra_raw(state.u)
-    disc = {sig: float(np.abs(direct - _u_velocity(L, sig * lax_rhs(L))).max()) for sig in (1, -1)}
-    if disc[+1] == disc[-1]:
-        raise ValueError("orientation undetermined: the field vanishes")
-    sigma = -1 if disc[-1] < disc[+1] else +1
-    return SignCalibration(sigma=sigma, discrepancy=disc)

@@ -500,18 +500,18 @@ def test_verify_command_passes(capsys):
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "overall: PASS" in out
-    assert "sigma* = -1" in out
     for name in (
         "lax-generator-equals-bracket",
         "projection-fixed-point",
         "derivative-chain-equality",
         "gradient-defining-equation",
         "field-equivalence",
-        "sign-calibration",
         "trajectory-accuracy",
         "isospectral-drift",
     ):
         assert name in out
+    # field-equivalence carries the orientation; there is no second sign row
+    assert "sign-calibration" not in out and "sigma*" not in out
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
@@ -683,6 +683,37 @@ def test_module_entry_point_prints_usage():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: volterra-lab")
+
+
+@pytest.mark.parametrize("argv, unbuffered, target", [
+    # 3 lines fit the buffer, so they meet the closed pipe at the final flush
+    (["spectrum", "--u0", "1,2,0.5"], False, "stdout"),
+    (["spectrum", "--u0", "1,2,0.5"], True, "stdout"),
+    # 80 kB overflow the buffer, so a print meets it
+    (["spectrum", "--n", "1000", "--seed", "1", "--t1", "1e-3", "--h0", "1e-3"], False, "stdout"),
+    (["gradient-check", "--trials", "3"], False, "stdout"),
+    (["simulate", "--u0", "1,2", "--t1", "0.01", "--out", "/dev/stdout"], False, "/dev/stdout"),
+], ids=["final-flush", "unbuffered", "print", "gradient-check", "simulate-out"])
+def test_a_closed_stdout_is_one_configuration_error_line(argv, unbuffered, target):
+    # the read end is closed before the child starts, so its first write fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "volterra_lab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert re.fullmatch(
+        rf"configuration error: cannot write {target}: \[Errno \d+\] Broken pipe\n", proc.stderr
+    ), proc.stderr
 
 
 def test_overflow_exits_3_without_numpy_warnings(tmp_path):

@@ -754,7 +754,7 @@ def test_invariant_report_of_an_overflowing_trace_does_not_warn():
 
 
 def test_the_orientation_is_a_constant():
-    # every form runs the calibrated flow; no setting selects the reverse
+    # every form runs lattice.CALIBRATED_SIGN's flow; no setting selects the reverse
     with pytest.raises(TypeError):
         itg.IntegratorConfig(form="lax", sigma=CALIBRATED_SIGN)
     assert list(inspect.signature(lattice.pushforward_rhs).parameters) == ["s", "form"]

@@ -288,7 +288,8 @@ def test_pushforward_is_the_public_field_superdiagonal(n):
     # the integrator's pushforward equals 2 c diag(M, 1) bit for bit, where
     # M is the public dense field: the O(N) superdiagonals are exact because
     # each of their entries is a single product in the dense matmuls.  The
-    # other sign is the exact negation, which calibrate_sign drives.
+    # other sign is the exact negation, which a reversed CALIBRATED_SIGN
+    # would run.
     stream = SplitMix64(substream_seed(41, n))
     for _ in range(5):
         s = lattice.LatticeState(random_state(n, stream))
@@ -401,24 +402,40 @@ def test_non_diagonal_weights_fail_the_dense_tangency_check(monkeypatch):
         lattice.double_bracket_field(L)
 
 
+def _unsigned_velocities(s):
+    # the direct field and the pushforward of the Lax field before any sign
+    L = lattice.lax_from_state(s)
+    return lattice.volterra_rhs(s), lattice._u_velocity(L, lattice.lax_rhs(L))
+
+
 def test_sign_calibration_picks_descent():
-    cal = lattice.calibrate_sign()
-    assert cal.sigma == lattice.CALIBRATED_SIGN == -1
-    assert cal.discrepancy[-1] <= 1e-12
-    assert cal.discrepancy[+1] > 1e-3
+    # an orientation oracle that reads no package sign: at u = (1, 1) only
+    # -1 times the unsigned Lax field reproduces the direct field, which pins
+    # the constant
+    direct, via_lax = _unsigned_velocities(lattice.LatticeState(np.array([1.0, 1.0])))
+    npt.assert_array_equal(-via_lax, direct)
+    assert np.abs(via_lax - direct).max() > 1e-3
+    assert lattice.CALIBRATED_SIGN == -1
 
 
 def test_sign_calibration_discrepancy_is_pinned():
-    # at u = (1, 1) the direct field is (1, -1): the calibrated Lax field
+    # at u = (1, 1) the direct field is (1, -1): -1 times the Lax field
     # matches it exactly and the other sign misses by twice its size
-    cal = lattice.calibrate_sign()
-    assert cal == lattice.SignCalibration(sigma=-1, discrepancy={+1: 2.0, -1: 0.0})
+    direct, via_lax = _unsigned_velocities(lattice.LatticeState(np.array([1.0, 1.0])))
+    npt.assert_array_equal(direct, [1.0, -1.0])
+    npt.assert_array_equal(via_lax, [-1.0, 1.0])
+    assert np.abs(-via_lax - direct).max() == 0.0
+    assert np.abs(via_lax - direct).max() == 2.0
 
 
-def test_sign_calibration_refuses_a_tie():
-    # at N = 1 both fields vanish, so neither sign can be preferred
-    with pytest.raises(ValueError, match="orientation undetermined: the field vanishes"):
-        lattice.calibrate_sign(lattice.LatticeState([2.0]))
+def test_sign_calibration_stable_across_states():
+    # at drawn states -1 times the dense field matches to roundoff, and +1
+    # misses by twice the direct field
+    stream = SplitMix64(substream_seed(26, 0))
+    for n in (2, 3, 5):
+        direct, via_lax = _unsigned_velocities(lattice.LatticeState(random_state(n, stream)))
+        assert np.abs(-via_lax - direct).max() <= 1e-12 * np.abs(direct).max()
+        assert np.abs(via_lax - direct).max() > 1e-3
 
 
 def test_lattice_imports_nothing_from_the_layers_above():
@@ -435,15 +452,6 @@ def test_lattice_imports_nothing_from_the_layers_above():
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert imported  # the scan sees the module's imports
     assert not imported & above
-
-
-def test_sign_calibration_stable_across_states():
-    stream = SplitMix64(substream_seed(26, 0))
-    for n in (2, 3, 5):
-        s = lattice.LatticeState(random_state(n, stream))
-        cal = lattice.calibrate_sign(state=s)
-        assert cal.sigma == -1
-        assert cal.discrepancy[-1] < cal.discrepancy[+1]
 
 
 def test_weight_gradient_identity():
