@@ -107,9 +107,11 @@ def _parse_bool(text: str, key: str) -> bool:
         raise ConfigError(f"{key} expects a boolean, got {text!r}") from None
 
 
-def _parse_floats(text: str, key: str) -> tuple:
+def _parse_numbers(text: str, key: str, number=float) -> tuple:
+    # float and int allow whitespace around an entry and refuse an empty one,
+    # so "1,,2", "1,2," and "" are refused, not read as fewer entries.
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(number(tok) for tok in text.split(","))
     except ValueError:
         raise ConfigError(f"{key} expects comma-separated numbers, got {text!r}") from None
 
@@ -118,7 +120,7 @@ def _parse_floats(text: str, key: str) -> tuple:
 # _validate_run_keys check method, form and format.
 _RUN_KEYS = {
     "n": (int, "number of sites"),
-    "u0": (lambda v: _parse_floats(v, "u0"), "comma-separated initial sites, e.g. 1,2,3"),
+    "u0": (lambda v: _parse_numbers(v, "u0"), "comma-separated initial sites, e.g. 1,2,3"),
     "seed": (int, "seed for log-uniform initial sites"),
     "t0": (float, "start time (default 0)"),
     "t1": (float, "end time (default 1)"),
@@ -190,8 +192,6 @@ def _validate_run_keys(keys: dict):
     if (u0 is None) == (keys.get("seed") is None):
         raise ConfigError("exactly one of u0 and seed must be given")
     if u0 is not None:
-        if len(u0) < 1:
-            raise ConfigError("u0 must list at least one site")
         if n is not None and n != len(u0):
             raise ConfigError(f"n = {n} does not match {len(u0)} sites in u0")
         if not all(np.isfinite(u0)) or min(u0) <= 0.0:
@@ -423,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the identity battery")
     ver.add_argument("--n-list", dest="n_list", default="1,2,3,5,8",
-                     help="comma-separated site counts (default 1,2,3,5,8)")
+                     help="comma-separated site counts, no empty entry (default 1,2,3,5,8)")
     # The int flags of verify and gradient-check carry text that main parses,
     # so a bad value gets one configuration-error line.
     ver.add_argument("--trials", default="25", help="trials per site count")
@@ -435,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--trials", default="5", help="independent trials")
     gc.add_argument("--seed", default="1", help="trial seed")
     gc.add_argument("--eps", default="1e-3,1e-4,1e-5",
-                    help="comma-separated offsets (default 1e-3,1e-4,1e-5)")
+                    help="comma-separated offsets, no empty entry (default 1e-3,1e-4,1e-5)")
     return parser
 
 
@@ -447,14 +447,11 @@ def _dispatch(ns: argparse.Namespace) -> int:
     trials = _parse_value(int, "trials", ns.trials)
     seed = _parse_value(int, "seed", ns.seed)
     if ns.command == "verify":
-        try:
-            n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"bad n-list {ns.n_list!r}") from None
-        if not n_list or min(n_list) < 1 or trials < 1:
+        n_list = _parse_numbers(ns.n_list, "n-list", int)
+        if min(n_list) < 1 or trials < 1:
             raise ConfigError("need n-list entries >= 1 and trials >= 1")
         return cmd_verify(n_list, trials, seed)
-    eps_list = _parse_floats(ns.eps, "eps")
+    eps_list = _parse_numbers(ns.eps, "eps")
     return cmd_gradient_check(_parse_value(int, "n", ns.n), trials, seed, eps_list)
 
 

@@ -8,13 +8,11 @@ a double-bracket flow driven by the trace objective f(L) = <K, L^2> with
 K = diag(1, 2, 3, ...) / 4.  This module builds all three right-hand sides
 and the pushforward that carries the matrix forms back to u-space.  The
 dense [L, A] of ``lax_rhs`` and [L, [L^2, K]] of ``double_bracket_field``
-stay as the reference objects; the pushforward reads their superdiagonals
-by O(N) formulas that give the same bits, because for diagonal K every
-nonzero entry of the dense products there is a single product.  Neither
-makes a BLAS call.  The dense field keeps its tangency check.  The O(N)
-bracket does not repeat it: off the first off-diagonals the field has only
-its third, which vanishes for every L in exact arithmetic because K's
-diagonal steps evenly.
+stay as the reference objects.  Both are [L, X] for an X with entries x on
+its second superdiagonal and -x on its second subdiagonal, so the
+pushforward reads either superdiagonal by one O(N) formula, with the bits
+of the dense field and no BLAS call; only x differs between the forms.  The
+dense field keeps its tangency check; the O(N) formula needs none.
 
 The module also holds the dense kernels the others share: the commutator
 and the Frobenius pairing tr(X Y^T), which refuse operands numpy would
@@ -241,26 +239,9 @@ def _dense_lax(c: np.ndarray) -> np.ndarray:
     return _off_diagonals(c.size + 1, 1, c, c)
 
 
-def _generator_entries(c: np.ndarray) -> np.ndarray:
-    # Entries (i, i+2) of A, c_i c_{i+1} / 2.
-    return 0.5 * c[:-1] * c[1:]
-
-
 def _generator(c: np.ndarray) -> np.ndarray:
-    prod = _generator_entries(c)
+    prod = 0.5 * c[:-1] * c[1:]  # entries (i, i+2) of A, c_i c_{i+1} / 2
     return _off_diagonals(c.size + 1, 2, prod, -prod)
-
-
-def _commutator_superdiagonal(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # First superdiagonal of [L, X] in O(N), for X with x on its second
-    # superdiagonal, -x on its second subdiagonal and zeros elsewhere.  There
-    # each entry of L X and of X L has exactly one nonzero product,
-    # c_{i-1} x_{i-1} and x_i c_{i+1}; the dense products only add exact
-    # zeros to it, so this has the bits of the dense commutator.
-    sup = np.zeros(c.size)
-    sup[1:] = c[:-1] * x
-    sup[:-1] -= x * c[1:]
-    return sup
 
 
 # Byte budget for one block of bidiagonal matrices in _lax_spectra, so a
@@ -301,20 +282,6 @@ def _tangency_check(asym: float, off_band: float, norm: float) -> None:
         )
 
 
-def _bracket_superdiagonal(c: np.ndarray) -> np.ndarray:
-    # Bit for bit double_bracket_field(L).diagonal(1), in O(N) from K's
-    # diagonal k.  Each nonzero entry of the dense L^2 K and K L^2 is a single
-    # product, so [L^2, K] has the shape of A and a zero diagonal:
-    # w_i = p_i k_{i+2} - k_i p_i, p_i = c_i c_{i+1}.  [L, [L^2, K]] is then
-    # exactly symmetric, and its only other entries, on the third
-    # off-diagonal, are c_i c_{i+1} c_{i+2} ((k_{i+3} - k_{i+1}) - (k_{i+2} - k_i)),
-    # zero for every c in exact arithmetic since k steps evenly, so no
-    # tangency check is needed.
-    kd = _weights(c.size + 1)
-    p = c[:-1] * c[1:]
-    return _commutator_superdiagonal(c, p * kd[2:] - kd[:-2] * p)
-
-
 def build_A(s: LatticeState) -> np.ndarray:
     """Skew generator of the Lax flow.
 
@@ -351,10 +318,7 @@ def double_bracket_field(L: LaxMatrix) -> np.ndarray:
     """
     n1 = L.dim
     dense = _dense_lax(L.c)
-    k = build_K(n1)
-    sq = dense @ dense
-    inner = sq @ k - k @ sq
-    field = dense @ inner - inner @ dense
+    field = commutator(dense, commutator(dense @ dense, build_K(n1)))
     _tangency_check(
         float(np.abs(field - field.T).max()),
         float(np.abs(field[abs(np.subtract.outer(range(n1), range(n1))) != 1]).max()),
@@ -365,9 +329,7 @@ def double_bracket_field(L: LaxMatrix) -> np.ndarray:
 
 def lax_rhs(L: LaxMatrix) -> np.ndarray:
     """Commutator [L, A] in dense form."""
-    dense = _dense_lax(L.c)
-    a = _generator(L.c)
-    return dense @ a - a @ dense
+    return commutator(_dense_lax(L.c), _generator(L.c))
 
 
 def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
@@ -375,24 +337,39 @@ def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
 
     The matrix forms advance the couplings, du_i = 2 c_i dc_i with dc_i read
     off the first superdiagonal of CALIBRATED_SIGN times the matrix field, so
-    all forms report the same motion in the same coordinates.  Multiplying
-    by the sign is exact, so it is folded into the factor 2.  Both
-    superdiagonals are computed in O(N) and equal those of ``lax_rhs`` and
-    ``double_bracket_field`` bit for bit.  The bracket form checks no
-    tangency: the dense field's check could fail only for a K whose diagonal
-    does not step evenly, and ``verify``'s field-equivalence runs that check.
+    all forms report the same motion in the same coordinates.  Both fields
+    are [L, X], with x_i = c_i c_{i+1} / 2 for the Lax generator A and
+    x_i = p_i k_{i+2} - k_i p_i, p_i = c_i c_{i+1}, for [L^2, K] with K's
+    diagonal k, and one O(N) formula reads the superdiagonal of either;
+    the result equals that of ``lax_rhs`` or ``double_bracket_field`` bit
+    for bit.
     """
     if form == "direct":
         return _volterra_raw(s.u)
     c = np.sqrt(s.u)
     if form == "lax":
-        sup = _commutator_superdiagonal(c, _generator_entries(c))
+        x = 0.5 * c[:-1] * c[1:]
     elif form == "bracket":
-        sup = _bracket_superdiagonal(c)
+        kd = _weights(c.size + 1)
+        p = c[:-1] * c[1:]
+        x = p * kd[2:] - kd[:-2] * p
     else:
         raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
-    # (2 sigma c) sup has the bits of (2 c)(sigma sup): scaling by 2 and by
-    # the sign sigma is exact and rounding is symmetric in sign.
+    # Why the bits are the dense field's.  For diagonal K each nonzero entry
+    # of the dense L^2 K and K L^2 is a single product, so [L^2, K] has the
+    # shape of A, with the x above.  Each entry of L X and X L on the first
+    # superdiagonal is then a single product too, c_{i-1} x_{i-1} and
+    # x_i c_{i+1}, and the dense products only add exact zeros to it.
+    # Scaling by 2 and by the sign is exact and rounding is symmetric in
+    # sign, so (2 sigma c) sup has the bits of (2 c)(sigma sup).  The
+    # bracket needs no tangency check: [L, [L^2, K]] is exactly symmetric,
+    # and off the first off-diagonals it has only its third,
+    # c_i c_{i+1} c_{i+2} ((k_{i+3} - k_{i+1}) - (k_{i+2} - k_i)), zero for
+    # every c in exact arithmetic since k steps evenly; a K that does not is
+    # caught by the dense field's check, which verify's field-equivalence runs.
+    sup = np.zeros(c.size)
+    sup[1:] = c[:-1] * x
+    sup[:-1] -= x * c[1:]
     return (2.0 * CALIBRATED_SIGN) * c * sup
 
 

@@ -529,6 +529,29 @@ def test_verify_bad_arguments(capsys):
     assert "--jobs" in _one_config_line(capsys)
 
 
+@pytest.mark.parametrize("argv, key, text", [
+    (["simulate", "--u0", "1,,2"], "u0", "1,,2"),
+    (["simulate", "--u0", "1,2,"], "u0", "1,2,"),
+    (["gradient-check", "--eps", "1e-3,,1e-4"], "eps", "1e-3,,1e-4"),
+    (["verify", "--n-list", "2,,3"], "n-list", "2,,3"),
+    (["simulate", "--config", "u0 = 1,,2"], "u0", "1,,2"),
+])
+def test_an_empty_list_entry_is_refused(tmp_path, capsys, argv, key, text):
+    # these ran as if the empty entry were not there: 1,,2 gave two sites
+    out = tmp_path / "x.csv"
+    if argv[1] == "--config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[2] + "\n")
+        argv = [argv[0], "--config", str(cfg)]
+    if argv[0] == "simulate":
+        argv = [*argv, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"configuration error: {key} expects comma-separated numbers, got {text!r}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [("verify", "trials", "x"), ("verify", "seed", "1.5"), ("gradient-check", "n", "2.5"),

@@ -185,12 +185,12 @@ def _count(lo, hi):
 _BATTERY_SEED = _mostly(st.integers(-5, 2**70).map(str), ["y", "1.5", ""])
 _N_LIST = _mostly(
     st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
-    ["x", "", "0", "1,x", "2.5", ","],
+    ["x", "", "0", "1,x", "2.5", ",", "2,,3"],
 )
 _EPS = _mostly(
     st.lists(st.sampled_from(["1e-2", "1e-3", "1e-4", "1e-5"]), min_size=2, max_size=3,
              unique=True).map(",".join),
-    ["", "x", "1e-3", "1e-3,1e-3", "0.5,1e-3", "nan,1e-3", "0,1e-3"],
+    ["", "x", "1e-3", "1e-3,1e-3", "0.5,1e-3", "nan,1e-3", "0,1e-3", "1e-3,,1e-4"],
 )
 _BATTERY_FLAGS = {
     "verify": {"n-list": _N_LIST, "trials": _count(1, 2), "seed": _BATTERY_SEED},
