@@ -12,13 +12,23 @@ one for the start.  An attempt adds each stage, times its tableau column,
 to every stage combination that uses it as soon as the stage is computed,
 so each combination sums in stage order, the bits of the written-out sum.
 
+Each run allocates one workspace: a block whose rows are an attempt's stage
+states 2-6 and u5, written once per attempt, the stage combinations and
+scratch rows.  The lax and bracket forms step with lattice's O(N) kernel,
+which writes du/dt into a given row and allocates nothing; pushforward_rhs,
+the same kernel on fresh buffers, gives the adaptive loop its start.  The
+direct field returns a new array.  An accepted state is copied out of the
+block and no buffer is shared between runs, so runs in several threads do
+not interfere.
+
 The matrix forms always run in lattice.CALIBRATED_SIGN, so every form
 descends f, and the invariant report counts each rise of f as a violation.
 
 Positivity of u is an invariant of the exact flow, so a step, or a matrix
 form's stage state, that leaves the positive cone is numerical damage: the
 adaptive loop rejects it and halves the step, the fixed-step loop aborts with
-a diagnostic.  The fields only compute; the loops check after an attempt.
+a diagnostic.  The fields only compute; the loops check after an attempt,
+reading the stage states in place from the block.
 
 Sampling stores t and u only.  After the loop one vectorised pass adds the
 objective f = sum (2n+1) u_n / 4, the Lax spectrum from a batched bidiagonal
@@ -56,8 +66,8 @@ from .lattice import (  # noqa: F401
     LatticeState,
     _all_in_open,
     _lax_spectra,
+    _matrix_field,
     _require_finite_positive,
-    _state_view,
     _volterra_raw,
     lax_from_state,
     objective_f,
@@ -213,15 +223,6 @@ class TrajectoryRecord:
         return self.times.size
 
 
-def _rk4_raw(f, u, h):
-    # One step from u, and its stage states y2, y3, y4 for the loop to check.
-    k1 = f(u)
-    k2 = f(y2 := u + 0.5 * h * k1)
-    k3 = f(y3 := u + 0.5 * h * k2)
-    k4 = f(y4 := u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (y2, y3, y4)
-
-
 # Dormand-Prince 5(4) tableau, one row per stage combination.  Rows 1-5
 # (a2..a6) build the states of stages 2-6 from k1..k_{i-1}; row 6 (b) is the
 # fifth-order solution, equal to the seventh stage row of a, so k7 = f(u5);
@@ -248,33 +249,71 @@ for _col in _DP_COLS:
     _col.flags.writeable = False
 
 
-def _dopri_raw(f, u, h, k1=None):
-    # One attempt from u with step h.  k1 = f(u) may be passed in; the last
-    # stage k7 = f(u5) is returned so the caller can reuse it as the next
-    # step's k1 (first same as last).  Row i of acc sums tableau row i as the
-    # stages arrive, w1 k1 + w2 k2 + ... in stage order, with elementwise IEEE
-    # products and sums alone (tests/test_integrate.py pins the bits); also
-    # returned, as u + h * acc[:6] are stage states 2-6 and u5, bit for bit.
-    acc = _DP_COLS[0] * (f(u) if k1 is None else k1)
-    for j in range(1, 6):
-        acc[j:] += _DP_COLS[j] * f(u + h * acc[j - 1])
-    u5 = u + h * acc[5]
-    k7 = f(u5)
-    acc[6:] += _DP_COLS[6] * k7
-    return u5, h * acc[6], k7, acc
+class _Workspace:
+    # One run's buffers at n sites, allocated once.  Rows 0-5 of block are a
+    # Dormand-Prince attempt's stage states 2-6 and u5, and rows 0-2 an rk4
+    # step's y2, y3, y4; row i of acc sums tableau row i; slopes take the
+    # field's results; h is the step and err and scale the error norm's
+    # scratch.  An attempt or step writes each entry before it reads it, so
+    # nothing one attempt leaves behind reaches the next.
+    __slots__ = ("block", "acc", "slopes", "stages", "err", "scale", "h")
+
+    def __init__(self, n: int):
+        self.block = np.empty((6, n))
+        self.acc = np.empty((7, n))
+        self.slopes = np.empty((4, n))
+        prod = np.empty((7, n))
+        # Dormand-Prince stages 2-7: the stage state's row, the combination
+        # that builds it, and stage j's tableau column with the rows it adds to.
+        self.stages = tuple(
+            (self.block[j - 1], self.acc[j - 1], _DP_COLS[j], self.acc[j:], prod[j:])
+            for j in range(1, 7)
+        )
+        self.err = np.empty(n)
+        self.scale = np.empty(n)
+        self.h = np.empty(())  # a 0-d operand costs less than a Python float
+
+
+def _direct_field(y, out):
+    # A field is field(y, out): du/dt at y, written into out or returned as a
+    # new array, as here.  _volterra_raw is looked up at every stage, so a
+    # patched or wrapped one sees each call.
+    return _volterra_raw(y)
+
+
+def _rk4_step(field, u, h, ws):
+    # One step from u, returned as a new array; its stage states y2, y3, y4
+    # are written as rows 0-2 of ws.block for the loop to check.
+    y2, y3, y4 = ws.block[:3]
+    k1 = field(u, ws.slopes[0])
+    k2 = field(np.add(u, np.multiply(0.5 * h, k1, y2), y2), ws.slopes[1])
+    k3 = field(np.add(u, np.multiply(0.5 * h, k2, y3), y3), ws.slopes[2])
+    k4 = field(np.add(u, np.multiply(h, k3, y4), y4), ws.slopes[3])
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _dopri_attempt(field, u, h, k1, out, ws):
+    # One attempt from u with step h and first stage k1 = f(u).  Stage states
+    # 2-6 and u5 are written once each, as rows 0-5 of ws.block, and each
+    # later stage's slope into out, which is not k1: a rejected attempt
+    # leaves k1 for the next.  Row i of ws.acc sums tableau row i as the
+    # stages arrive, w1 k1 + w2 k2 + ... in stage order, with elementwise
+    # IEEE products and sums alone (tests/test_integrate.py pins the bits).
+    # Returns the last stage k7 = f(u5), for the loop to reuse as the next
+    # k1 (first same as last), and the error vector h * acc[6].
+    hh = ws.h
+    hh[()] = h
+    np.multiply(_DP_COLS[0], k1, ws.acc)
+    for y, prev, col, rows, prod in ws.stages:
+        k = field(np.add(u, np.multiply(hh, prev, y), y), out)
+        np.add(rows, np.multiply(col, k, prod), rows)
+    return k, np.multiply(hh, ws.acc[6], ws.err)
 
 
 def _controller_factor(err_est: float) -> float:
     if err_est == 0.0:
         return _GROW_MAX
     return min(_GROW_MAX, max(_SHRINK_MIN, _SAFETY * err_est ** -0.2))
-
-
-def _raw_field(form: str):
-    if form == "direct":
-        return _volterra_raw
-    # The loops check the stage states; each is wrapped without a copy.
-    return lambda u: pushforward_rhs(_state_view(u), form)
 
 
 def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
@@ -301,14 +340,16 @@ def integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
 
 
 def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
-    field = _raw_field(config.form)
-    check_stages = config.form != "direct"  # the forms that take sqrt(u)
+    n = s0.n
+    direct = config.form == "direct"  # the other forms take sqrt(u)
+    field = _direct_field if direct else _matrix_field(n, config.form)
+    ws = _Workspace(n)
     span = config.t1 - config.t0
     eps_t = 1e-12 * span
 
     # Every sample is the validated start or a state the loop accepted as
-    # finite and positive, and each step builds a new array, so a sampled
-    # array is never written again and needs neither a check nor a copy.
+    # finite and positive, held in a new array that no step writes again,
+    # so a sampled array needs neither a check nor a copy.
     t = config.t0
     u = np.array(s0.u, dtype=float)
     times = [t]
@@ -329,8 +370,8 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
     if config.method == "rk4":
         while config.t1 - t > eps_t:
             h = min(config.h0, config.t1 - t)
-            u_new, stages = _rk4_raw(field, u, h)
-            for y in stages if check_stages else ():
+            u_new = _rk4_step(field, u, h, ws)
+            for y in () if direct else ws.block[:3]:
                 try:
                     _require_finite_positive(y, "site variables")
                 except ValueError as exc:
@@ -354,9 +395,13 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                 states.append(u)
     else:
         h = min(config.h0, span)
-        k1 = field(u)
-        tol_abs = np.full(u.size, config.tol_abs)
-        tol_rel = np.full(u.size, config.tol_rel)
+        # The start's slope is the public pushforward_rhs, the same kernel on
+        # fresh buffers; perfbench/tracing.py counts a matrix-form run by it.
+        k1 = _volterra_raw(u) if direct else pushforward_rhs(s0, config.form)
+        spare = ws.slopes[0]  # where an attempt writes its slopes, never k1
+        block, u5, scale = ws.block, ws.block[5], ws.scale
+        tol_abs = np.full(n, config.tol_abs)
+        tol_rel = np.full(n, config.tol_rel)
         while config.t1 - t > eps_t:
             if accepted + rejected >= _MAX_DP45_ATTEMPTS:
                 raise StepBudgetError(
@@ -369,21 +414,22 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                     f"the problem is stiffer than the tolerances allow"
                 )
             h_try = min(h, config.t1 - t)
-            u5, err_vec, k7, acc = _dopri_raw(field, u, h_try, k1)
-            if check_stages and not _all_in_open(u + h_try * acc[:6], 0.0, np.inf):
+            k7, err = _dopri_attempt(field, u, h_try, k1, spare, ws)
+            if not direct and not _all_in_open(block, 0.0, np.inf):
                 rejected += 1
                 h = 0.5 * h_try
                 continue
-            scale = tol_abs + tol_rel * np.abs(u)
-            err_est = float(np.maximum.reduce(np.abs(err_vec) / scale, None))
-            if check_stages:
-                # Row 5 of the block just checked is u5, bit for bit.
-                finite = positive = True
-            else:
+            np.add(tol_abs, np.multiply(tol_rel, np.abs(u, scale), scale), scale)
+            np.divide(np.abs(err, err), scale, err)
+            err_est = float(np.maximum.reduce(err, None))
+            if direct:
                 # One min and one max decide both "finite" and "positive";
                 # NaN propagates through both and fails every comparison.
                 lo, hi = np.minimum.reduce(u5), np.maximum.reduce(u5)
                 finite, positive = -np.inf < lo and hi < np.inf, lo > 0.0
+            else:
+                # u5 is row 5 of the block just checked.
+                finite = positive = True
             if not (math.isfinite(err_est) and finite):
                 rejected += 1
                 h = _SHRINK_MIN * h_try
@@ -394,8 +440,8 @@ def _integrate(config: IntegratorConfig, s0: LatticeState) -> TrajectoryRecord:
                     h = 0.5 * h_try
                     continue
                 t = advance(t, h_try)
-                u = u5
-                k1 = k7
+                u = u5.copy()
+                k1, spare = k7, k1
                 accepted += 1
                 if accepted % config.record_every == 0 and config.t1 - t > eps_t:
                     times.append(t)

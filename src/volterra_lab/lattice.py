@@ -10,9 +10,10 @@ and the pushforward that carries the matrix forms back to u-space.  The
 dense [L, A] of ``lax_rhs`` and [L, [L^2, K]] of ``double_bracket_field``
 stay as the reference objects.  Both are [L, X] for an X with entries x on
 its second superdiagonal and -x on its second subdiagonal, so the
-pushforward reads either superdiagonal by one O(N) formula, with the bits
+pushforward reads either superdiagonal by one O(N) kernel, with the bits
 of the dense field and no BLAS call; only x differs between the forms.  The
-dense field keeps its tangency check; the O(N) formula needs none.
+integrator runs the kernel on buffers it allocates once per run.  The dense
+field keeps its tangency check; the O(N) kernel needs none.
 
 The module also holds the dense kernels the others share: the commutator
 and the Frobenius pairing tr(X Y^T), which refuse operands numpy would
@@ -150,15 +151,6 @@ class LatticeState:
     @property
     def n(self) -> int:
         return self.u.size
-
-
-def _state_view(u: np.ndarray) -> LatticeState:
-    # A LatticeState over a read-only view of u: no copy and no validation.
-    view = u.view()
-    view.flags.writeable = False
-    s = object.__new__(LatticeState)
-    object.__setattr__(s, "u", view)
-    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,37 +332,72 @@ def pushforward_rhs(s: LatticeState, form: str) -> np.ndarray:
     all forms report the same motion in the same coordinates.  Both fields
     are [L, X], with x_i = c_i c_{i+1} / 2 for the Lax generator A and
     x_i = p_i k_{i+2} - k_i p_i, p_i = c_i c_{i+1}, for [L^2, K] with K's
-    diagonal k, and one O(N) formula reads the superdiagonal of either;
-    the result equals that of ``lax_rhs`` or ``double_bracket_field`` bit
-    for bit.
+    diagonal k, and one O(N) kernel, the integrator's, reads the
+    superdiagonal of either; the result equals that of ``lax_rhs`` or
+    ``double_bracket_field`` bit for bit.
     """
     if form == "direct":
         return _volterra_raw(s.u)
-    c = np.sqrt(s.u)
-    if form == "lax":
-        x = 0.5 * c[:-1] * c[1:]
-    elif form == "bracket":
-        kd = _weights(c.size + 1)
-        p = c[:-1] * c[1:]
-        x = p * kd[2:] - kd[:-2] * p
-    else:
-        raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
+    return _matrix_field(s.n, form)(s.u, np.empty(s.n))
+
+
+def _matrix_field(n: int, form: str):
+    # The O(N) pushforward of the lax or bracket form at n sites, as
+    # field(u, out): it writes du/dt at u into out, which must not overlap u,
+    # and returns out.  The buffers are allocated here, once, so a call
+    # allocates nothing; the couplings and x sit in zero-padded rows, c_0 =
+    # c_{N+1} = 0 and x_0 = x_N = 0, which no call writes, so the
+    # superdiagonal sup_i = c_{i-1} x_{i-1} - x_i c_{i+1} is one expression
+    # at every i.  CALIBRATED_SIGN is read here.
+    #
     # Why the bits are the dense field's.  For diagonal K each nonzero entry
     # of the dense L^2 K and K L^2 is a single product, so [L^2, K] has the
     # shape of A, with the x above.  Each entry of L X and X L on the first
     # superdiagonal is then a single product too, c_{i-1} x_{i-1} and
-    # x_i c_{i+1}, and the dense products only add exact zeros to it.
-    # Scaling by 2 and by the sign is exact and rounding is symmetric in
-    # sign, so (2 sigma c) sup has the bits of (2 c)(sigma sup).  The
-    # bracket needs no tangency check: [L, [L^2, K]] is exactly symmetric,
-    # and off the first off-diagonals it has only its third,
-    # c_i c_{i+1} c_{i+2} ((k_{i+3} - k_{i+1}) - (k_{i+2} - k_i)), zero for
-    # every c in exact arithmetic since k steps evenly; a K that does not is
-    # caught by the dense field's check, which verify's field-equivalence runs.
-    sup = np.zeros(c.size)
-    sup[1:] = c[:-1] * x
-    sup[:-1] -= x * c[1:]
-    return (2.0 * CALIBRATED_SIGN) * c * sup
+    # x_i c_{i+1}, and the dense products only add exact zeros to it, as the
+    # padded products 0 * 0 do at the ends.  Scaling by 2 and by the sign is
+    # exact and rounding is symmetric in sign, so (2 sigma c) sup has the
+    # bits of (2 c)(sigma sup).  The bracket needs no tangency check:
+    # [L, [L^2, K]] is exactly symmetric, and off the first off-diagonals it
+    # has only its third, c_i c_{i+1} c_{i+2} ((k_{i+3} - k_{i+1}) -
+    # (k_{i+2} - k_i)), zero for every c in exact arithmetic since k steps
+    # evenly; a K that does not is caught by the dense field's check, which
+    # verify's field-equivalence runs.
+    if form not in ("lax", "bracket"):
+        raise ValueError(f"unknown form {form!r}, expected one of {FORMS}")
+    cp = np.zeros(n + 2)
+    xp = np.zeros(n + 1)
+    sup = np.empty(n)
+    c, x = cp[1:-1], xp[1:-1]
+    c_lo, c_hi = c[:-1], c[1:]
+    c_before, c_after = cp[:-2], cp[2:]
+    x_before, x_after = xp[:-1], xp[1:]
+    # 0-d constants and a positional out cost less per ufunc call than
+    # Python floats and the out= keyword.
+    half, two_sigma = np.array(0.5), np.array(2.0 * CALIBRATED_SIGN)
+    lax = form == "lax"
+    if not lax:
+        kd = _weights(n + 1)
+        k_lo, k_hi = kd[:-2], kd[2:]
+        p = np.empty(n - 1)
+
+    def field(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.sqrt(u, c)
+        if lax:
+            np.multiply(half, c_lo, x)
+            np.multiply(x, c_hi, x)
+        else:
+            np.multiply(c_lo, c_hi, p)
+            np.multiply(p, k_hi, x)
+            np.multiply(k_lo, p, p)
+            np.subtract(x, p, x)
+        np.multiply(c_before, x_before, sup)
+        np.multiply(x_after, c_after, out)
+        np.subtract(sup, out, sup)
+        np.multiply(two_sigma, c, out)
+        return np.multiply(out, sup, out)
+
+    return field
 
 
 def _u_velocity(L: LaxMatrix, m: np.ndarray) -> np.ndarray:

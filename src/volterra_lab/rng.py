@@ -76,10 +76,18 @@ def random_state(n: int, stream: SplitMix64) -> np.ndarray:
 
 
 def uniform_matrix(dim: int, stream: SplitMix64) -> np.ndarray:
-    """Dense matrix with entries uniform in [-1, 1), filled row-major."""
-    return np.array(
-        [[stream.uniform_signed() for _ in range(dim)] for _ in range(dim)]
-    )
+    """Dense matrix with entries uniform in [-1, 1), filled row-major.
+
+    The k-th draw of a stream is the finalizer of its state plus k times the
+    constant, so the dim * dim draws are made at once in uint64 arrays, whose
+    arithmetic wraps modulo 2**64 as the mask does: the entries and the
+    stream's end state are those of dim * dim calls to uniform_signed.
+    """
+    count = dim * dim
+    states = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(stream._x)
+    stream._x = (stream._x + count * _GAMMA) & _MASK
+    draws = (_finalize(states) >> 11).astype(float) * 2.0**-53
+    return (2.0 * draws - 1.0).reshape(dim, dim)
 
 
 def skew_matrix(dim: int, stream: SplitMix64) -> np.ndarray:

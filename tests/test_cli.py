@@ -846,7 +846,7 @@ def test_numerical_breakdown_exits_3_in_one_line(monkeypatch, tmp_path, capsys, 
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(itg_module, "pushforward_rhs", broken)
+    monkeypatch.setattr(itg_module, "_matrix_field", broken)
     argv = [command, "--u0", "1,2", "--form", "lax", "--t1", "0.1"]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "x.csv")]

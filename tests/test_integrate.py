@@ -6,7 +6,9 @@ import dataclasses
 import importlib
 import inspect
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 # the package re-exports the integrate() function over the submodule name,
 # so fetch the module itself for monkeypatching and attribute access
@@ -79,17 +81,25 @@ def test_config_types_at_the_library_boundary(kwargs, message):
         assert str(info.value).startswith(message)
 
 
+def _fake_matrix_field(monkeypatch, fake):
+    # The lax and bracket forms step with fake(y) in place of their kernel,
+    # also at the adaptive loop's start, which calls pushforward_rhs.
+    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form: fake(s.u))
+    monkeypatch.setattr(itg, "_matrix_field", lambda n, form: lambda y, out: fake(y))
+
+
 def test_rk4_step_fixed_point_is_exact():
     # the step and its stage states y2, y3, y4 all stay at the fixed point
     u = np.array([5.0])
-    out, stages = itg._rk4_raw(itg._volterra_raw, u, 0.25)
+    ws = itg._Workspace(1)
+    out = itg._rk4_step(itg._direct_field, u, 0.25, ws)
     npt.assert_array_equal(out, [5.0])
-    npt.assert_array_equal(stages, [[5.0]] * 3)
+    npt.assert_array_equal(ws.block[:3], [[5.0]] * 3)
 
 
 def test_rk4_step_linear_field_value():
     # du/dt = u from u = 1: one step of h = 0.1 gives the quartic Taylor sum
-    out, _ = itg._rk4_raw(lambda u: u, np.array([1.0]), 0.1)
+    out = itg._rk4_step(lambda y, out: y, np.array([1.0]), 0.1, itg._Workspace(1))
     expect = 1.0 + 0.1 + 0.1**2 / 2.0 + 0.1**3 / 6.0 + 0.1**4 / 24.0
     assert out[0] == pytest.approx(expect, rel=1e-15)
 
@@ -103,7 +113,7 @@ def test_rk4_step_validation_and_errors(monkeypatch):
         itg.integrate(one_step, _state(1.0))
     # strong decay drives a stage negative at this step size; a matrix form
     # validates its stage states
-    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form: -100.0 * s.u)
+    _fake_matrix_field(monkeypatch, lambda y: -100.0 * y)
     cfg = itg.IntegratorConfig(method="rk4", form="lax", t1=0.1, h0=0.1)
     with pytest.raises(itg.PositivityAbortError, match="stage left the state domain"):
         itg.integrate(cfg, _state(1.0))
@@ -127,15 +137,15 @@ def _spy_attempts(monkeypatch):
     # Record (u, h, k1, a stage state or u5 left the cone) for every attempt
     # of the adaptive loop; only the matrix forms reject an attempt for that.
     attempts = []
-    real = itg._dopri_raw
+    real = itg._dopri_attempt
 
-    def spy(f, u, h, k1=None):
-        record = [u.copy(), h, None if k1 is None else k1.copy()]
-        out = real(f, u, h, k1)
-        attempts.append(record + [not lattice._all_in_open(u + h * out[3][:6], 0.0, np.inf)])
-        return out
+    def spy(field, u, h, k1, out, ws):
+        record = [u.copy(), h, k1.copy()]
+        result = real(field, u, h, k1, out, ws)
+        attempts.append(record + [not lattice._all_in_open(ws.block, 0.0, np.inf)])
+        return result
 
-    monkeypatch.setattr(itg, "_dopri_raw", spy)
+    monkeypatch.setattr(itg, "_dopri_attempt", spy)
     return attempts
 
 
@@ -168,7 +178,7 @@ def test_adaptive_step_rejects_at_tight_tolerance(monkeypatch):
 def test_adaptive_step_stage_domain_counts_as_rejection(monkeypatch):
     # strong decay drives a stage negative until h is small enough; each
     # such attempt is a rejection at half the step
-    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, form: -100.0 * s.u)
+    _fake_matrix_field(monkeypatch, lambda y: -100.0 * y)
     attempts = _spy_attempts(monkeypatch)
     cfg = itg.IntegratorConfig(
         method="adaptive45", form="lax", t1=0.2, h0=0.2, tol_abs=1e-8, tol_rel=1e-8
@@ -324,9 +334,13 @@ def test_adaptive_loop_reuses_the_last_stage(monkeypatch):
     # accepted or rejected, also where a matrix form rejects attempts whose
     # stage states left the cone (the direct form has no such rejections)
     calls = []
-    raw, push = itg._volterra_raw, itg.pushforward_rhs
+    raw, push, kernel = itg._volterra_raw, itg.pushforward_rhs, itg._matrix_field
     monkeypatch.setattr(itg, "_volterra_raw", lambda u: calls.append(1) or raw(u))
     monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f: calls.append(1) or push(s, f))
+    monkeypatch.setattr(
+        itg, "_matrix_field",
+        lambda n, f: (lambda field: lambda y, out: calls.append(1) or field(y, out))(kernel(n, f)),
+    )
     cfg = itg.IntegratorConfig(
         method="adaptive45", t1=3.0, h0=0.5, tol_abs=1e-8, tol_rel=1e-8, record_every=10**9
     )
@@ -364,7 +378,7 @@ def test_integrate_matches_fresh_first_stage_bit_for_bit(monkeypatch, form, meth
         t, u, ref = 0.0, s0.u, [s0.u]
         while 1.0 - t > 1e-12:
             h = min(cfg.h0, 1.0 - t)
-            u, _ = itg._rk4_raw(fresh, u, h)
+            u = itg._rk4_step(lambda y, out: fresh(y), u, h, itg._Workspace(u.size))
             t = 1.0 if 1.0 - (t + h) <= 1e-12 else t + h
             ref.append(u)
         assert rec.states.tobytes() == np.array(ref).tobytes()
@@ -436,10 +450,15 @@ _PINNED_ATTEMPT = {
 }
 
 
+def _stage_field(form, n):
+    # The field(y, out) that a run of this form at n sites steps with.
+    return itg._direct_field if form == "direct" else itg._matrix_field(n, form)
+
+
 @pytest.mark.parametrize("form", sorted(_PINNED_ATTEMPT))
 def test_dormand_prince_attempt_bits_are_pinned(form):
-    field = itg._raw_field(form)
-    got = itg._dopri_raw(field, np.array([0.3, 2.0, 5.0, 0.7]), 0.1)
+    u = np.array([0.3, 2.0, 5.0, 0.7])
+    got = _kernel_attempt(_stage_field(form, 4), u, 0.1)
     for name, vec, want in zip(("u5", "err", "k7"), got, _PINNED_ATTEMPT[form]):
         assert tuple(float(x).hex() for x in vec) == want, name
 
@@ -450,7 +469,7 @@ def _python_attempt(field, u, h):
     # the rows of _DP_ROWS; only the stages come from numpy, from the field.
     # Also whether a stage state 2-6 or u5 has an entry outside (0, inf).
     u = u.tolist()
-    ks = [field(np.array(u)).tolist()]
+    ks = [field(np.array(u), np.empty(len(u))).tolist()]
     sums = []
     left = False
     for row in itg._DP_ROWS:
@@ -461,21 +480,23 @@ def _python_attempt(field, u, h):
         if len(ks) < 7:
             y = [a + h * b for a, b in zip(u, total)]
             left = left or not all(0.0 < x < math.inf for x in y)
-            ks.append(field(np.array(y)).tolist())
+            ks.append(field(np.array(y), np.empty(len(u))).tolist())
     u5 = [a + h * b for a, b in zip(u, sums[5])]
     return u5, [h * b for b in sums[6]], ks[6], left
 
 
 def _kernel_attempt(field, u, h):
-    # The kernel and the adaptive loop's stage-domain check on its acc.
-    u5, err, k7, acc = itg._dopri_raw(field, u, h)
-    return u5, err, k7, not lattice._all_in_open(u + h * acc[:6], 0.0, np.inf)
+    # One attempt of the loop's kernel on a fresh workspace, from k1 = f(u):
+    # u5, err and k7, and the adaptive loop's stage-domain check on the block.
+    ws = itg._Workspace(u.size)
+    k7, err = itg._dopri_attempt(field, u, h, field(u, np.empty(u.size)), np.empty(u.size), ws)
+    return ws.block[5], err, k7, not lattice._all_in_open(ws.block, 0.0, np.inf)
 
 
 def _attempt_outcome(attempt, form, u, h):
     # A matrix form's attempt that left the cone is rejected whatever its
     # bits; otherwise u5, err and k7 as bit patterns.
-    *vectors, left = attempt(itg._raw_field(form), u, h)
+    *vectors, left = attempt(_stage_field(form, u.size), u, h)
     if left and form != "direct":
         return "left the cone"
     return [np.array(v, dtype=float).view(np.int64).tolist() for v in vectors]
@@ -502,22 +523,40 @@ def test_dormand_prince_attempt_matches_a_python_oracle(n):
 
 
 @pytest.mark.parametrize("form", ["lax", "bracket"])
-def test_matrix_form_stage_is_checked_once_and_wrapped_without_a_copy(monkeypatch, form):
-    # the field wraps a stage without a copy and checks nothing
-    seen = []
-    monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f: seen.append(s) or s.u)
-    field = itg._raw_field(form)
-    u = np.array([0.5, 2.0])
-    field(u)
-    (s,) = seen
-    assert s.u.base is u and not s.u.flags.writeable and u.flags.writeable
+def test_matrix_form_stage_is_read_in_place_from_the_block_and_checked_once(monkeypatch, form):
+    # An adaptive run builds one workspace.  Each attempt writes stage states
+    # 2-6 and u5 as rows 0-5 of its block, the field reads each row in place,
+    # and the loop checks the block itself, once per attempt.
+    blocks, seen, checked = [], [], []
+    attempt, kernel, check = itg._dopri_attempt, itg._matrix_field, itg._all_in_open
+
+    def spy(field, u, h, k1, out, ws):
+        blocks.append(ws.block)
+        return attempt(field, u, h, k1, out, ws)
+
+    monkeypatch.setattr(itg, "_dopri_attempt", spy)
+    monkeypatch.setattr(
+        itg, "_matrix_field",
+        lambda n, f: (lambda field: lambda y, out: seen.append(y) or field(y, out))(kernel(n, f)),
+    )
+    monkeypatch.setattr(itg, "_all_in_open", lambda x, lo, hi: checked.append(x) or check(x, lo, hi))
+    cfg = itg.IntegratorConfig(method="adaptive45", form=form, t1=20.0, h0=10.0)
+    rec = itg.integrate(cfg, _state(1.0, 2.0, 1.0, 2.0, 1.0, 2.0))
+    attempts = rec.accepted_steps + rec.rejected_steps
+    block = blocks[0]
+    assert rec.rejected_steps > 0 and len(blocks) == attempts
+    assert all(b is block for b in blocks)
+    assert len(checked) == attempts and all(x is block for x in checked)
+    assert len(seen) == 6 * attempts
+    for i, y in enumerate(seen):
+        assert y.base is block and np.shares_memory(y, block[i % 6])
     # the rk4 loop checks each step's stage states once, after its four
     # field calls, and its messages are those of LatticeState: from u = 1,
     # a first slope of 2 (bad - 1) puts y2 at bad exactly
     cfg = itg.IntegratorConfig(method="rk4", form=form, t1=1.0, h0=1.0)
     for bad in ([1.0, np.nan], [-1.0, np.inf], [1.0, 0.0], [1.0, -2.0]):
         seen.clear()
-        monkeypatch.setattr(itg, "pushforward_rhs", lambda s, f: seen.append(s) or 2.0 * (bad - s.u))
+        _fake_matrix_field(monkeypatch, lambda y: seen.append(y) or 2.0 * (bad - y))
         with pytest.raises(ValueError) as want:
             LatticeState(np.array(bad))
         with pytest.raises(itg.PositivityAbortError) as got:
@@ -530,15 +569,100 @@ def test_matrix_form_stage_is_checked_once_and_wrapped_without_a_copy(monkeypatc
 def test_matrix_form_fields_compute_outside_the_domain_quietly(form):
     # The loops check stage states only after an attempt's field calls, so a
     # field runs on states outside the cone.  Under integrate's errstate guard
-    # it must turn NaN, inf, 0 and negative sites into NaN or finite values
-    # without an exception or a warning.  The O(N) bracket checks no
-    # tangency, since K's evenly stepped diagonal makes it hold for every L.
-    field = itg._raw_field(form)
+    # the kernel must turn NaN, inf, 0, negative and huge sites into NaN or
+    # finite values without an exception or a warning, and leave nothing in
+    # its buffers: each result has the bits of a fresh kernel's.  The O(N)
+    # bracket checks no tangency, since K's evenly stepped diagonal makes it
+    # hold for every L.
+    gen = np.random.default_rng(substream_seed(48, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
-            for bad in ([1.0, np.nan], [-1.0, np.inf], [1.0, 0.0], [1.0, -2.0], [1e200] * 3):
-                assert field(np.array(bad)).shape == (len(bad),)
+            for n in (1, 2, 3, 4, 5, 12, 33, 129):
+                field = itg._matrix_field(n, form)
+                out = np.empty(n)
+                for bad in (np.nan, np.inf, 0.0, -1.0, -2.0, 1e200, -np.inf):
+                    for _ in range(3):
+                        u = 10.0 ** gen.uniform(-1.0, 1.0, n)
+                        u[gen.integers(n)] = bad
+                        for y in (u, np.full(n, bad)):
+                            got = field(y, out)
+                            assert got is out and got.shape == (n,)
+                            fresh = itg._matrix_field(n, form)(y, np.empty(n))
+                            assert got.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_an_attempt_after_one_that_left_the_cone_is_a_fresh_attempt(form):
+    # h = 10 from sites 1, 2, 1, 2, ... drives the stages out of the cone,
+    # which leaves NaN in the block and the kernel's buffers of the matrix
+    # forms; the next attempt on the same workspace and field has the bits
+    # of one on fresh ones, block included
+    u = 1.0 + np.arange(6) % 2
+    field, ws = _stage_field(form, 6), itg._Workspace(6)
+    k1 = field(u, np.empty(6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        itg._dopri_attempt(field, u, 10.0, k1, np.empty(6), ws)
+        assert not lattice._all_in_open(ws.block, 0.0, np.inf)
+        assert np.isnan(ws.block).any() == (form != "direct")
+        k7, err = itg._dopri_attempt(field, u, 0.01, k1, np.empty(6), ws)
+    want = _kernel_attempt(_stage_field(form, 6), u, 0.01)
+    for got, expected in zip((ws.block[5], err, k7), want):
+        assert got.tobytes() == expected.tobytes()
+    fresh = itg._Workspace(6)
+    itg._dopri_attempt(_stage_field(form, 6), u, 0.01, k1, np.empty(6), fresh)
+    assert ws.block.tobytes() == fresh.block.tobytes()
+
+
+def test_forms_integrated_from_two_threads_match_serial_runs():
+    # every buffer belongs to one run, so runs of all three forms at once
+    # from two threads give the bytes of serial runs; a short switch
+    # interval makes the threads interleave within attempts
+    s0 = LatticeState(random_state(12, SplitMix64(substream_seed(49, 0))))
+    cfgs = [
+        itg.IntegratorConfig(method=method, form=form, t1=2.0, h0=0.01, record_every=7)
+        for form in FORMS
+        for method in ("adaptive45", "rk4")
+    ]
+
+    def run(cfg):
+        rec = itg.integrate(cfg, s0)
+        return rec.times.tobytes() + rec.states.tobytes() + rec.f_values.tobytes()
+
+    serial = [run(cfg) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, cfg) for cfg in cfgs * 2]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial * 2
+
+
+def test_recorded_states_share_no_memory_with_the_workspace(monkeypatch):
+    # an accepted u5 is copied out of the block, so with record_every = 1
+    # every recorded row is the state that the next attempt started from,
+    # not a later write to the block
+    made = []
+    real = itg._Workspace
+    monkeypatch.setattr(itg, "_Workspace", lambda n: made.append(real(n)) or made[-1])
+    attempts = _spy_attempts(monkeypatch)
+    for form in FORMS:
+        attempts.clear()
+        cfg = itg.IntegratorConfig(method="adaptive45", form=form, t1=3.0, h0=0.5, record_every=1)
+        rec = itg.integrate(cfg, _state(0.3, 2.0, 5.0, 0.7))
+        ws = made[-1]
+        for buffer in (ws.block, ws.acc, ws.slopes, ws.err, ws.scale):
+            assert not np.shares_memory(rec.states, buffer)
+        starts = [attempts[0][0]]
+        for u, *_ in attempts[1:]:
+            if not np.array_equal(u, starts[-1]):
+                starts.append(u)
+        assert len(starts) == rec.accepted_steps == rec.n_samples - 1
+        assert rec.states[:-1].tobytes() == np.array(starts).tobytes()
+        assert len({row.tobytes() for row in rec.states}) == rec.n_samples
 
 
 def test_a_bracket_run_builds_no_dense_weight_matrix():
@@ -645,8 +769,9 @@ def test_time_reversed_flow_is_the_flow_on_reflected_sites():
     cfg = itg.IntegratorConfig(method="rk4", t1=1.0, h0=2.0**-10, record_every=128)
     rec = itg.integrate(cfg, LatticeState(u0[::-1]))
     backwards = [u0]
+    ws = itg._Workspace(4)
     for _ in range(1024):
-        backwards.append(itg._rk4_raw(lambda u: -itg._volterra_raw(u), backwards[-1], cfg.h0)[0])
+        backwards.append(itg._rk4_step(lambda y, out: -itg._volterra_raw(y), backwards[-1], cfg.h0, ws))
     npt.assert_array_equal(rec.states[:, ::-1], backwards[::128])
     # f ascends along the reversed run, and the report counts every rise
     f_back = rec.states[:, ::-1] @ (np.arange(3, 10, 2) / 4.0)

@@ -253,9 +253,12 @@ def test_pushforward_fixed_point():
 
 
 def test_pushforward_equivalence_sweep():
-    # all three forms produce the same site velocities
+    # All three forms produce the same site velocities, and the integrator's
+    # kernel, one per n and form and reused across calls, has the bits of
+    # pushforward_rhs on fresh buffers.
     worst_abs = 0.0
     worst_rel = 0.0
+    kernels = {}
     stream = SplitMix64(substream_seed(25, 0))
     for trial in range(200):
         n = 1 + stream.next_u64() % 20
@@ -263,13 +266,35 @@ def test_pushforward_equivalence_sweep():
         direct = lattice.pushforward_rhs(s, "direct")
         scale = 1.0 + np.abs(direct).max()
         for form in ("lax", "bracket"):
-            gap = np.abs(
-                lattice.pushforward_rhs(s, form) - direct
-            ).max()
+            via = lattice.pushforward_rhs(s, form)
+            kernel = kernels.setdefault((n, form), lattice._matrix_field(n, form))
+            assert np.array_equal(_bits(kernel(s.u, np.empty(n))), _bits(via))
+            gap = np.abs(via - direct).max()
             worst_abs = max(worst_abs, gap)
             worst_rel = max(worst_rel, gap / scale)
     assert worst_abs <= 1e-13
     assert worst_rel <= 1e-12
+    # The kernel is 2 c diag(M, 1) of the dense field M bit for bit, signed
+    # zeros included, also where its products underflow; where they
+    # overflow, both are non-finite.
+    gen = np.random.default_rng(substream_seed(25, 1))
+    dense = {"lax": lattice.lax_rhs, "bracket": lattice.double_bracket_field}
+    compared = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (1, 2, 3, 4, 5, 12, 33, 129):
+            for decades in (1.0, 150.0, 300.0):
+                for _ in range(4):
+                    s = lattice.LatticeState(10.0 ** gen.uniform(-decades, decades, n))
+                    L = lattice.lax_from_state(s)
+                    for form in ("lax", "bracket"):
+                        m = lattice.CALIBRATED_SIGN * dense[form](L)
+                        want = 2.0 * L.c * np.diagonal(m, 1)
+                        got = lattice._matrix_field(n, form)(s.u, np.empty(n))
+                        assert np.isfinite(got).all() == np.isfinite(want).all(), (n, decades)
+                        if np.isfinite(got).all():
+                            assert np.array_equal(_bits(got), _bits(want)), (n, decades, form)
+                            compared += 1
+    assert compared > 100
 
 
 def _bits(x):

@@ -61,3 +61,16 @@ def test_matrix_helpers_shapes_and_symmetry():
     w = skew_matrix(5, stream)
     assert np.array_equal(w, -w.T)
     assert np.all(np.diag(w) == 0.0)
+
+
+def test_uniform_matrix_is_the_scalar_stream_row_major():
+    # the block draw has the bits of dim * dim calls to uniform_signed and
+    # leaves the stream where they would, also where the state wraps 2**64
+    seeds = [substream_seed(51, i) for i in range(40)] + [(1 << 64) - 1 - i for i in range(5)]
+    for seed in seeds:
+        for dim in (1, 2, 3, 4, 6, 9, 13):
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            m = uniform_matrix(dim, block)
+            want = [[scalar.uniform_signed() for _ in range(dim)] for _ in range(dim)]
+            assert m.tobytes() == np.array(want).tobytes()
+            assert block.next_u64() == scalar.next_u64()
